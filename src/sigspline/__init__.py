@@ -35,13 +35,14 @@ from .model import (
     load_model,
     log_likelihood,
     parameter_count,
+    sample_from_series,
     sample_step,
     save_model,
     sliding_windows,
     to_unit,
     zero_model,
 )
-from .signature import segment_signature, signature_of_sequence, signature_oracle
+from .signature import segment_signature, signature_of_sequence, signature_oracle, signatures
 from .spline import (
     bin_indicator,
     softmax,

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .augmentations import conditioning_embedding
-from .model import SigSplineModel, sliding_windows, to_unit
-from .signature import as_sequence, signature_of_sequence
+from .model import SigSplineModel, conditioning_path, sliding_windows, to_unit
+from .signature import as_sequence, signatures
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
@@ -117,23 +117,22 @@ def report_to_dict(report: FitReport, include_timing: bool = False) -> dict:
 # designs: parameter-independent features per (sample, coordinate)
 
 
-def _truncate(seq: np.ndarray, window: int | None) -> np.ndarray:
-    if window is not None and seq.shape[0] > window + 1:
-        return seq[-(window + 1) :]
-    return seq
-
-
 def build_design(dataset, i: int, level: int, bins: int, window: int | None = None):
-    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i."""
-    rows = []
-    cbins = np.empty(len(dataset), dtype=int)
-    for j, seq in enumerate(dataset):
-        arr = _truncate(as_sequence(seq), window)
-        if arr.shape[0] < 2:
-            raise ValueError(f"sequence {j} has fewer than 2 rows")
-        rows.append(signature_of_sequence(conditioning_embedding(arr, i), level).coeffs)
-        cbins[j] = bin_indicator(arr[-1, i - 1], bins) - 1
-    return np.asarray(rows), cbins
+    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i,
+    featurizing the sequences of each distinct length in one batched call."""
+    arrs = [as_sequence(seq) for seq in dataset]
+    lengths = np.array([arr.shape[0] for arr in arrs])
+    if lengths.min() < 2:
+        raise ValueError(f"sequence {int(np.argmin(lengths))} has fewer than 2 rows")
+    feats = np.empty((len(arrs), feature_count(1 + arrs[0].shape[1], level)))
+    cbins = np.empty(len(arrs), dtype=int)
+    for n in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == n)
+        stack = np.stack([arrs[j] for j in rows])
+        path = conditioning_path(stack[:, :-1], stack[:, -1], window)
+        feats[rows] = signatures(conditioning_embedding(path, i), level)
+        cbins[rows] = bin_indicator(stack[:, -1, i - 1], bins) - 1
+    return feats, cbins
 
 
 def _unit_dataset(model: SigSplineModel, dataset) -> list[np.ndarray]:
@@ -209,6 +208,9 @@ def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind
 def _hessian_from_design(u: np.ndarray, feats: np.ndarray, chunk: int = 512) -> np.ndarray:
     n_bins, n_feat = u.shape
     size = n_bins * n_feat
+    if size > HESSIAN_SIZE_LIMIT:  # checked before the first Newton step allocates
+        raise ValueError(f"Hessian of size {size}^2 exceeds the {HESSIAN_SIZE_LIMIT} guard; "
+                         "use gradient_descent")
     hess = np.zeros((size, size))
     diag_blocks = np.zeros((n_bins, n_feat, n_feat))
     for start in range(0, feats.shape[0], chunk):
@@ -230,9 +232,6 @@ def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
 
     Row/column order follows params[i-1].ravel(): bin-major, feature-minor.
     """
-    size = model.bins * model.n_features
-    if size > HESSIAN_SIZE_LIMIT:
-        raise ValueError(f"Hessian of size {size}^2 exceeds the {HESSIAN_SIZE_LIMIT} guard")
     unit = _unit_dataset(model, dataset)
     feats, _ = build_design(unit, i, model.level, model.bins, model.window)
     return _hessian_from_design(model.params[i - 1], feats)
@@ -316,8 +315,6 @@ def _prepare(dataset, cfg: TrainConfig):
     for j, arr in enumerate(arrs):
         if arr.shape[1] != d:
             raise ValueError(f"sequence {j} has {arr.shape[1]} channels, expected {d}")
-        if arr.shape[0] < 2:
-            raise ValueError(f"sequence {j} has fewer than 2 rows")
     stacked = np.vstack(arrs)
     lo, hi = stacked.min(axis=0), stacked.max(axis=0)
     flat = np.flatnonzero(hi <= lo)

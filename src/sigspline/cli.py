@@ -116,6 +116,12 @@ def _require(config: dict, key: str) -> str:
     return config[key]
 
 
+def _require_counts(config: dict, **minimums: int) -> None:
+    for key, low in minimums.items():
+        if not isinstance(config[key], int) or config[key] < low:
+            raise UsageError(f"{key} must be an integer >= {low}, got {config[key]!r}")
+
+
 def cmd_simulate(config: dict) -> None:
     spec = synthetic.VarSpec(
         w1=np.asarray(config["w1"], dtype=float),
@@ -148,8 +154,7 @@ def _train_config(config: dict, seed: int) -> calibration.TrainConfig:
 
 
 def cmd_fit(config: dict) -> None:
-    if not isinstance(config["window"], int) or config["window"] < 1:
-        raise UsageError(f"window must be a positive integer, got {config['window']!r}")
+    _require_counts(config, window=1, n_seeds=1)
     try:
         train_cfg = _train_config(config, config["seed"])
     except ValueError as exc:
@@ -182,26 +187,17 @@ def cmd_fit(config: dict) -> None:
 
 
 def cmd_sample(config: dict) -> None:
+    _require_counts(config, batch=1, horizon=1)
     fitted = model_mod.load_model(_require(config, "model"))
     series = dataio.read_series_csv(_require(config, "data"))
-    if series.shape[1] != fitted.d:
-        raise ValueError(f"data has {series.shape[1]} channels, model expects {fitted.d}")
-    hist_len = fitted.window or 2
-    windows = model_mod.sliding_windows(series, hist_len)
-    if config["batch"] > len(windows):
-        raise ValueError(f"batch {config['batch']} exceeds {len(windows)} available histories")
     rng = np.random.default_rng(config["seed"])
-    picks = rng.choice(len(windows), size=config["batch"], replace=False)
-    sequences = []
-    for j in picks:
-        unit_hist = model_mod.to_unit(fitted, windows[j])
-        path = model_mod.extend_path(fitted, unit_hist, config["horizon"], rng)
-        sequences.append(model_mod.from_unit(fitted, path[hist_len:]))
-    dataio.write_batch_csv(config["output"], sequences, comment=f"config: {_echo(config)}")
-    print(f"wrote {len(sequences)} sequences of {config['horizon']} steps to {config['output']}")
+    samples = model_mod.sample_from_series(fitted, series, config["batch"], config["horizon"], rng)
+    dataio.write_batch_csv(config["output"], samples, comment=f"config: {_echo(config)}")
+    print(f"wrote {len(samples)} sequences of {config['horizon']} steps to {config['output']}")
 
 
 def cmd_evaluate(config: dict) -> None:
+    _require_counts(config, batch=1, horizon=2, seeds=1)  # one-step samples have no returns
     series = dataio.read_series_csv(_require(config, "data"))
     if config["model"] is None:
         report = evaluation.self_evaluation_report(series, include_abs_acf=config["abs_acf"])

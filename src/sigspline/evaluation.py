@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SigSplineModel, extend_path, from_unit, sliding_windows, to_unit
+from .model import SigSplineModel, sample_from_series
 from .signature import as_sequence
 
 KURTOSIS_CONVENTION = "raw fourth standardized moment (normal = 3)"
@@ -236,29 +236,20 @@ def evaluate(
     seeds: int = 10,
     base_seed: int = 0,
     include_abs_acf: bool = False,
-    history_length: int | None = None,
 ) -> EvaluationReport:
     """Sample ``batch`` length-``horizon`` paths per seed and compare statistics.
 
-    Conditioning histories are drawn uniformly without replacement from the
-    real series' sliding windows; samples are mapped back to raw units before
-    statistics. Deterministic given (model, data, seeds, base_seed).
+    Each seed samples through :func:`~sigspline.model.sample_from_series`;
+    deterministic given (model, data, seeds, base_seed).
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     real = as_sequence(real_data)
-    hist_len = history_length if history_length is not None else (model.window or 2)
-    windows = sliding_windows(real, hist_len)
-    if batch > len(windows):
-        raise ValueError(f"batch {batch} exceeds the {len(windows)} available histories")
     real_stats = dataset_statistics(real, include_abs_acf=include_abs_acf)
     per_seed = []
     for s in range(seeds):
         rng = np.random.default_rng([base_seed, s])
-        picks = rng.choice(len(windows), size=batch, replace=False)
-        generated = []
-        for j in picks:
-            unit_hist = to_unit(model, windows[j])
-            path = extend_path(model, unit_hist, horizon, rng)
-            generated.append(from_unit(model, path[hist_len:]))
+        generated = sample_from_series(model, real, batch, horizon, rng)
         gen_stats = dataset_statistics(generated, include_abs_acf=include_abs_acf)
         per_seed.append(compare_statistics(real_stats, gen_stats))
     statistics = {}

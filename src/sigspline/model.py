@@ -8,6 +8,8 @@ hidden. Softmax of the N functional values gives the bin increments of a
 piecewise-linear conditional CDF; chaining the d conditionals triangularly
 yields the joint density and an exact inverse-transform sampler.
 
+Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
+
 Model-facing sequences live in [0,1]^d. The model optionally carries a
 per-channel min/max affine rescaling fitted on training data; ``to_unit`` /
 ``from_unit`` convert raw data, and out-of-range raw values are clamped
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augmentations import conditioning_embedding
-from .signature import as_sequence, signature_of_sequence
+from .signature import as_paths, as_sequence, signatures
 from .spline import bin_indicator, softmax, spline_inverse
 from .tensor_algebra import feature_count
 
@@ -99,7 +101,7 @@ def to_unit(model: SigSplineModel, x) -> np.ndarray:
 
     Values outside the fitted range land at CLAMP_EPS / 1 - CLAMP_EPS.
     """
-    arr = as_sequence(x)
+    arr = as_paths(x)
     if model.scale_min is None:
         return arr
     z = (arr - model.scale_min) / (model.scale_max - model.scale_min)
@@ -108,7 +110,7 @@ def to_unit(model: SigSplineModel, x) -> np.ndarray:
 
 def from_unit(model: SigSplineModel, x) -> np.ndarray:
     """Inverse of :func:`to_unit` on in-range values."""
-    arr = as_sequence(x)
+    arr = as_paths(x)
     if model.scale_min is None:
         return arr
     return model.scale_min + arr * (model.scale_max - model.scale_min)
@@ -117,41 +119,38 @@ def from_unit(model: SigSplineModel, x) -> np.ndarray:
 def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
     """N functional values of the masked-path signature for coordinate i.
 
-    ``x`` must have >= 2 rows with the candidate next observation last; its
-    coordinates >= i never influence the result.
+    ``x`` is an (..., n, d) stack with n >= 2 and the candidate next
+    observation last; its coordinates >= i never influence the result.
     """
     params_i = np.asarray(params_i, dtype=float)
-    sig = signature_of_sequence(conditioning_embedding(x, i), level)
-    if params_i.ndim != 2 or params_i.shape[1] != sig.coeffs.size:
-        raise ValueError(
-            f"parameter matrix must be N x {sig.coeffs.size}, got {params_i.shape}"
-        )
-    return params_i @ sig.coeffs
+    sig = signatures(conditioning_embedding(x, i), level)
+    if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
+        raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
+    return sig @ params_i.T
 
 
-def _window_history(model: SigSplineModel, history: np.ndarray) -> np.ndarray:
-    if model.window is not None and history.shape[0] > model.window:
-        return history[-model.window :]
-    return history
+def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
+    """The last ``window`` rows of (..., n, d) ``history`` (all if None), then ``candidate``."""
+    if window is not None:
+        history = history[..., -window:, :]
+    return np.concatenate([history, candidate[..., None, :]], axis=-2)
 
 
 def conditional_increments(history, next_partial, i: int, model: SigSplineModel) -> np.ndarray:
-    """Bin increments of coordinate i's conditional CDF.
+    """Bin increments of coordinate i's conditional CDF, (..., n, d) -> (..., N).
 
     ``next_partial`` supplies the candidate observation's coordinates < i;
     the rest of the candidate row is filled from the last history row and is
     masked away regardless.
     """
-    hist = as_sequence(history)
-    if hist.shape[1] != model.d:
-        raise ValueError(f"history has {hist.shape[1]} channels, model expects {model.d}")
+    hist = as_paths(history)
+    if hist.shape[-1] != model.d:
+        raise ValueError(f"history has {hist.shape[-1]} channels, model expects {model.d}")
     if not 1 <= i <= model.d:
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
-    hist = _window_history(model, hist)
-    candidate = hist[-1].copy()
-    partial = np.asarray(next_partial, dtype=float).ravel()
-    candidate[: i - 1] = partial[: i - 1]
-    path = np.vstack([hist, candidate])
+    candidate = hist[..., -1, :].copy()
+    candidate[..., : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
+    path = conditioning_path(hist, candidate, model.window)
     return softmax(feature_map(path, i, model.params[i - 1], model.level))
 
 
@@ -169,23 +168,26 @@ def log_likelihood(model: SigSplineModel, x) -> float:
 
 
 def sample_step(model: SigSplineModel, history, u) -> np.ndarray:
-    """One inverse-transform draw: x_i = F_i^{-1}(u_i | history, x_{<i})."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != model.d:
-        raise ValueError(f"u must have {model.d} entries, got {u.size}")
-    drawn = np.empty(model.d)
+    """One inverse-transform draw per history: x_i = F_i^{-1}(u_i | history, x_{<i})."""
+    hist = as_paths(history)
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (model.d,):
+        raise ValueError(f"u must have {model.d} entries per history, got shape {u.shape}")
+    drawn = np.empty((*hist.shape[:-2], model.d))
     for i in range(1, model.d + 1):
-        delta = conditional_increments(history, drawn, i, model)
-        drawn[i - 1] = spline_inverse(u[i - 1], delta)
+        delta = conditional_increments(hist, drawn, i, model)
+        drawn[..., i - 1] = spline_inverse(u[..., i - 1], delta)
     return drawn
 
 
-def extend_path(model: SigSplineModel, history: np.ndarray, horizon: int, rng) -> np.ndarray:
-    """Append ``horizon`` sampled rows to ``history``, drawing uniforms from ``rng``."""
-    path = as_sequence(history)
-    for _ in range(horizon):
-        nxt = sample_step(model, path, rng.random(model.d))
-        path = np.vstack([path, nxt])
+def extend_path(model: SigSplineModel, history, horizon: int, rng) -> np.ndarray:
+    """Append ``horizon`` sampled rows to each history, with uniforms drawn as
+    rng.random((..., horizon, d)): the stream of per-history, per-step calls."""
+    path = as_paths(history)
+    u = rng.random((*path.shape[:-2], horizon, model.d))
+    for t in range(horizon):
+        nxt = sample_step(model, path, u[..., t, :])
+        path = np.concatenate([path, nxt[..., None, :]], axis=-2)
     return path
 
 
@@ -197,10 +199,26 @@ def generate(model: SigSplineModel, seed_history, horizon: int, rng_seed) -> np.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    history = as_sequence(seed_history)
-    if history.shape[1] != model.d:
-        raise ValueError(f"history has {history.shape[1]} channels, model expects {model.d}")
-    return extend_path(model, history, horizon, np.random.default_rng(rng_seed))
+    return extend_path(model, as_sequence(seed_history), horizon, np.random.default_rng(rng_seed))
+
+
+def sample_from_series(model: SigSplineModel, series, batch: int, horizon: int, rng) -> np.ndarray:
+    """Sample ``horizon`` raw-unit steps after each of ``batch`` histories: (batch, horizon, d).
+
+    Histories span the model's window (2 rows if None) and are picked from the
+    series' sliding windows without replacement; ``rng`` then gives the uniforms.
+    """
+    arr = as_sequence(series)
+    if arr.shape[1] != model.d:
+        raise ValueError(f"data has {arr.shape[1]} channels, model expects {model.d}")
+    hist_len = model.window or 2
+    count = arr.shape[0] - hist_len + 1
+    if not 1 <= batch <= count or horizon < 1:
+        raise ValueError(f"need 1 <= batch <= {count} available histories and horizon >= 1, "
+                         f"got batch {batch}, horizon {horizon}")
+    picks = rng.choice(count, size=batch, replace=False)
+    histories = to_unit(model, arr[picks[:, None] + np.arange(hist_len)])
+    return from_unit(model, extend_path(model, histories, horizon, rng)[:, hist_len:])
 
 
 def sliding_windows(x, length: int) -> list[np.ndarray]:

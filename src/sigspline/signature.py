@@ -6,6 +6,8 @@ iterated integrals indexed by words over the e channels. For a linear segment
 the signature is the tensor exponential of the increment, and the signature of
 the whole sequence is the left-to-right Chen product over segments.
 
+:func:`signatures` folds (..., n, e) stacks; ``tensor_product`` is its test reference.
+
 ``signature_oracle`` evaluates single coefficients by direct numerical
 integration on a uniform grid. It shares no code with the exponential/Chen
 path and exists so the exact computation can be cross-checked.
@@ -15,24 +17,54 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_algebra import (
-    TruncatedTensor,
-    Word,
-    _level_offsets,
-    feature_count,
-    tensor_product,
-    unit_tensor,
-)
+from .tensor_algebra import TruncatedTensor, Word, _level_offsets, feature_count
+
+CHUNK_ROWS = 128  # sequences folded at once; bounds the fold's temporaries
+
+
+def as_paths(x) -> np.ndarray:
+    """Coerce to a (..., n, e) float array with n, e >= 1 and finite entries."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2] < 1 or arr.shape[-1] < 1:
+        raise ValueError(f"sequences must be non-empty (..., n, e) arrays, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sequence contains non-finite entries")
+    return arr
 
 
 def as_sequence(x) -> np.ndarray:
     """Coerce to an (n, e) float array with n >= 1 and finite entries."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"sequence must be a non-empty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sequence contains non-finite entries")
-    return arr
+    if np.ndim(x) != 2:
+        raise ValueError(f"sequence must be a non-empty 2-d array, got shape {np.shape(x)}")
+    return as_paths(x)
+
+
+def signatures(x, level: int) -> np.ndarray:
+    """Truncated signatures of a stack of sequences, (..., n, e) -> (..., K).
+
+    Each row folds its segment exponentials left to right with the products
+    and summation order of ``tensor_product`` and skips zero increments, so it
+    equals the per-sample Chen fold bit for bit.
+    """
+    arr = as_paths(x)
+    paths = arr.reshape(-1, *arr.shape[-2:])
+    out = np.zeros((len(paths), feature_count(arr.shape[-1], level)))
+    out[:, 0] = 1.0
+    offsets = _level_offsets(arr.shape[-1], level)
+    for start in range(0, len(paths), CHUNK_ROWS):
+        chunk, sig = paths[start : start + CHUNK_ROWS], out[start : start + CHUNK_ROWS]
+        for inc in np.diff(chunk, axis=1).transpose(1, 0, 2):
+            expo = [np.ones((len(inc), 1))]  # word w of length k: prod_j inc[w_j] / k!
+            prod = np.zeros_like(sig)
+            for k in range(level + 1):
+                if k:
+                    expo.append((expo[-1][:, :, None] * inc[:, None, :]).reshape(len(inc), -1) / k)
+                block = prod[:, offsets[k] : offsets[k + 1]]
+                for j in range(k + 1):
+                    left = sig[:, offsets[j] : offsets[j + 1], None]
+                    block += (left * expo[k - j][:, None, :]).reshape(len(inc), -1)
+            sig[:] = np.where(np.any(inc != 0, axis=1)[:, None], prod, sig)
+    return out.reshape(*arr.shape[:-2], out.shape[1])
 
 
 def segment_signature(increment, level: int) -> TruncatedTensor:
@@ -43,32 +75,13 @@ def segment_signature(increment, level: int) -> TruncatedTensor:
     inc = np.asarray(increment, dtype=float)
     if inc.ndim != 1 or inc.size < 1:
         raise ValueError(f"increment must be a 1-d vector, got shape {inc.shape}")
-    if not np.all(np.isfinite(inc)):
-        raise ValueError("increment contains non-finite entries")
-    e = inc.size
-    coeffs = np.zeros(feature_count(e, level))
-    offsets = _level_offsets(e, level)
-    coeffs[0] = 1.0
-    block = coeffs[0:1]
-    for k in range(1, level + 1):
-        block = np.outer(block, inc).ravel() / k
-        coeffs[offsets[k] : offsets[k + 1]] = block
-    return TruncatedTensor(e, level, coeffs)
+    return TruncatedTensor(inc.size, level, signatures(np.stack([np.zeros_like(inc), inc]), level))
 
 
 def signature_of_sequence(x, level: int) -> TruncatedTensor:
-    """Truncated signature of the piecewise-linear embedding of ``x``.
-
-    Folds segment exponentials through the Chen product; the level-1 block
-    equals x_n - x_1 exactly and a length-1 sequence gives the unit tensor.
-    """
+    """Truncated signature of the piecewise-linear embedding of ``x``."""
     arr = as_sequence(x)
-    sig = unit_tensor(arr.shape[1], level)
-    for i in range(arr.shape[0] - 1):
-        inc = arr[i + 1] - arr[i]
-        if np.any(inc):
-            sig = tensor_product(sig, segment_signature(inc, level))
-    return sig
+    return TruncatedTensor(arr.shape[1], level, signatures(arr, level))
 
 
 def signature_oracle(x, word: Word, steps: int = 1000) -> float:

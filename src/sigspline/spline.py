@@ -18,22 +18,22 @@ import numpy as np
 
 
 def softmax(z) -> np.ndarray:
-    """Positive vector summing to 1; computed with max-subtraction."""
+    """Positive rows summing to 1 along the last axis; computed with max-subtraction."""
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError(f"expected a 1-d vector, got shape {z.shape}")
+    if z.ndim < 1 or z.shape[-1] < 1:
+        raise ValueError(f"expected (..., N) logits, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input contains non-finite entries")
-    shifted = np.exp(z - z.max())
+    shifted = np.exp(z - z.max(axis=-1, keepdims=True))
     # floor at the smallest normal double so increments stay strictly
     # positive and their logs finite
     shifted = np.maximum(shifted, np.finfo(float).tiny)
-    return shifted / shifted.sum()
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _check_delta(delta) -> np.ndarray:
+def _check_delta(delta, batched: bool = False) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim != 1 or delta.size < 1:
+    if (delta.ndim < 1 if batched else delta.ndim != 1) or delta.shape[-1] < 1:
         raise ValueError(f"increments must be a 1-d vector, got shape {delta.shape}")
     if np.any(delta <= 0):
         raise ValueError("increments must be strictly positive")
@@ -67,14 +67,18 @@ def spline_cdf(x, delta):
 
 
 def spline_inverse(u, delta):
-    """Exact inverse of :func:`spline_cdf`; boundary ties go to the lower bin."""
-    delta = _check_delta(delta)
+    """Exact inverse of :func:`spline_cdf` per (..., N) law; boundary ties go to the lower bin."""
+    delta = _check_delta(delta, batched=True)
     u = _check_unit(u, "u")
-    n = delta.size
-    bounds = np.concatenate(([0.0], np.cumsum(delta)))
-    bounds[-1] = 1.0
-    k = np.clip(np.searchsorted(bounds, u, side="left") - 1, 0, n - 1)
-    interior = np.clip(k / n + (u - bounds[k]) / (n * delta[k]), 0.0, 1.0)
+    n = delta.shape[-1]
+    bounds = np.concatenate((np.zeros_like(delta[..., :1]), np.cumsum(delta, axis=-1)), axis=-1)
+    bounds[..., -1] = 1.0
+    # bounds below u, i.e. searchsorted(bounds, u, side="left") per row
+    k = np.clip(np.sum(bounds < u[..., None], axis=-1) - 1, 0, n - 1)
+    at_k, shape = k[..., None], (*k.shape, n)
+    lower = np.take_along_axis(np.broadcast_to(bounds[..., :-1], shape), at_k, -1)[..., 0]
+    width = np.take_along_axis(np.broadcast_to(delta, shape), at_k, -1)[..., 0]
+    interior = np.clip(k / n + (u - lower) / (n * width), 0.0, 1.0)
     out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, interior))
     return float(out) if out.ndim == 0 else out
 

@@ -248,6 +248,13 @@ class TestFit:
         _, report = fit(data, cfg)
         assert np.isfinite(report.final_test_nll)
 
+    def test_newton_refuses_an_oversized_hessian(self, rng):
+        # d=2, L=4, N=128: 128 * 121 = 15488 unknowns, a 1.9 GB dense Hessian
+        data = random_unit_sequences(rng, 8, 3, 2)
+        cfg = TrainConfig(level=4, bins=128, optimizer="newton", max_iters=3)
+        with pytest.raises(ValueError, match="15488.*gradient_descent"):
+            fit(data, cfg)
+
     def test_window_truncates_conditioning(self, rng):
         data = random_unit_sequences(rng, 25, 5, 2)
         cfg = TrainConfig(level=1, bins=4, window=2, max_iters=20, rng_seed=3)

@@ -191,3 +191,28 @@ class TestExitCodes:
 
     def test_invalid_config_value_is_usage_error(self, tmp_path, series_csv):
         assert run("fit", "--data", series_csv, "--learning-rate", "-1") == 1
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("fit", ["--n-seeds", 0]),
+        ("sample", ["--batch", 0]),
+        ("sample", ["--horizon", 0]),
+        ("evaluate", ["--batch", 0]),
+        ("evaluate", ["--horizon", 1]),  # one-step samples have no returns
+        ("evaluate", ["--seeds", 0]),
+    ],
+)
+def test_count_flags_below_minimum_are_usage_errors(tmp_path, series_csv, capsys, command, flags):
+    model, _ = fit_small_model(tmp_path, series_csv, max_iters=2, n_seeds=1)
+    outputs = {
+        "fit": ["--data", series_csv, "--output-model", tmp_path / "m.json",
+                "--output-report", tmp_path / "r.json"],
+        "sample": ["--model", model, "--data", series_csv, "--output", tmp_path / "s.csv"],
+        "evaluate": ["--model", model, "--data", series_csv,
+                     "--output-json", tmp_path / "e.json", "--output-table", tmp_path / "e.txt"],
+    }
+    capsys.readouterr()
+    assert run(command, *outputs[command], *flags) == 1
+    assert f"usage error: {flags[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
