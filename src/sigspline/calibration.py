@@ -21,9 +21,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .augmentations import conditioning_embedding
-from .model import SigSplineModel, conditioning_path, sliding_windows, to_unit
-from .signature import as_sequence, signatures
+from .model import (
+    SigSplineModel, chen_split, conditioning_path, masked_increment, sliding_windows, to_unit,
+)
+from .signature import CHUNK_ROWS, as_sequence, extend
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
@@ -117,28 +118,33 @@ def report_to_dict(report: FitReport, include_timing: bool = False) -> dict:
 # designs: parameter-independent features per (sample, coordinate)
 
 
-def build_design(dataset, i: int, level: int, bins: int, window: int | None = None):
-    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i,
-    featurizing the sequences of each distinct length in one batched call."""
+def build_design(dataset, i, level: int, bins: int, window: int | None = None):
+    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
+    list of them if ``i`` is a sequence. Equal-length sequences fold their
+    prefixes once, CHUNK_ROWS at a time, then extend into every coordinate's rows."""
+    coords = list(i) if np.ndim(i) else [i]
     arrs = [as_sequence(seq) for seq in dataset]
     lengths = np.array([arr.shape[0] for arr in arrs])
     if lengths.min() < 2:
         raise ValueError(f"sequence {int(np.argmin(lengths))} has fewer than 2 rows")
-    feats = np.empty((len(arrs), feature_count(1 + arrs[0].shape[1], level)))
-    cbins = np.empty(len(arrs), dtype=int)
+    k = feature_count(1 + arrs[0].shape[1], level)
+    designs = [(np.empty((len(arrs), k)), np.empty(len(arrs), dtype=int)) for _ in coords]
     for n in set(lengths.tolist()):
-        rows = np.flatnonzero(lengths == n)
-        stack = np.stack([arrs[j] for j in rows])
-        path = conditioning_path(stack[:, :-1], stack[:, -1], window)
-        feats[rows] = signatures(conditioning_embedding(path, i), level)
-        cbins[rows] = bin_indicator(stack[:, -1, i - 1], bins) - 1
-    return feats, cbins
+        group = np.flatnonzero(lengths == n)
+        for rows in np.split(group, range(CHUNK_ROWS, len(group), CHUNK_ROWS)):
+            x = np.stack([arrs[j] for j in rows])
+            prefix, ends = chen_split(conditioning_path(x[:, :-1], x[:, -1], window), level)
+            for c, (feats, cbins) in zip(coords, designs):
+                feats[rows] = extend(prefix, masked_increment(ends, c), level)
+                cbins[rows] = bin_indicator(x[:, -1, c - 1], bins) - 1
+    return designs if np.ndim(i) else designs[0]
 
 
-def _unit_dataset(model: SigSplineModel, dataset) -> list[np.ndarray]:
+def _designs(model: SigSplineModel, dataset, i):
     if not dataset:
         raise ValueError("empty dataset")
-    return [to_unit(model, seq) for seq in dataset]
+    unit = [to_unit(model, seq) for seq in dataset]
+    return build_design(unit, i, model.level, model.bins, model.window)
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +186,14 @@ def _penalty_grad(u: np.ndarray, kind: str, lam: float) -> np.ndarray:
 
 def loss(model: SigSplineModel, dataset) -> float:
     """Mean negative log bin-probability, summed over coordinates."""
-    unit = _unit_dataset(model, dataset)
-    total = 0.0
-    for i in range(1, model.d + 1):
-        feats, cbin = build_design(unit, i, model.level, model.bins, model.window)
-        total += _nll_and_grad(model.params[i - 1], feats, cbin, want_grad=False)[0]
-    return total
+    designs = _designs(model, dataset, range(1, model.d + 1))
+    return sum(_nll_and_grad(u, *design, False)[0] for u, design in zip(model.params, designs))
 
 
 def gradient(model: SigSplineModel, dataset) -> list[np.ndarray]:
     """Analytic gradient of :func:`loss`, one bins x K array per coordinate."""
-    unit = _unit_dataset(model, dataset)
-    grads = []
-    for i in range(1, model.d + 1):
-        feats, cbin = build_design(unit, i, model.level, model.bins, model.window)
-        grads.append(_nll_and_grad(model.params[i - 1], feats, cbin)[1])
-    return grads
+    designs = _designs(model, dataset, range(1, model.d + 1))
+    return [_nll_and_grad(u, *design)[1] for u, design in zip(model.params, designs)]
 
 
 def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind: str) -> float:
@@ -232,8 +230,7 @@ def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
 
     Row/column order follows params[i-1].ravel(): bin-major, feature-minor.
     """
-    unit = _unit_dataset(model, dataset)
-    feats, _ = build_design(unit, i, model.level, model.bins, model.window)
+    feats, _ = _designs(model, dataset, i)
     return _hessian_from_design(model.params[i - 1], feats)
 
 
@@ -257,9 +254,10 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
     ftr, ctr = feats[train_idx], cbin[train_idx]
     fte, cte = feats[test_idx], cbin[test_idx]
 
-    lr = cfg.learning_rate
+    # the learning rate, or for Newton the fraction of the full step; restarts halve it
+    rate = 1.0 if cfg.optimizer == "newton" else cfg.learning_rate
     restarts = 0
-    last_finite = u.copy()
+    last_finite, step = u.copy(), np.zeros_like(u)
     best_test, best_u = np.inf, u.copy()
     prev_test = np.inf
     streak = 0
@@ -276,8 +274,8 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
                 raise DivergenceError(
                     f"objective non-finite at iteration {it} after {MAX_RESTARTS} step halvings"
                 )
-            lr /= 2.0
-            u = last_finite.copy()
+            rate /= 2.0
+            u = last_finite - rate * step  # retry the diverged step, halved
             continue
         last_finite = u.copy()
         train_trace.append(train_nll)
@@ -290,19 +288,19 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
         if streak >= cfg.patience:
             break
         step_grad = grad + _penalty_grad(u, cfg.reg_kind, cfg.reg_lambda)
+        step = step_grad
         if cfg.optimizer == "newton":
             hess = _hessian_from_design(u, ftr)
             if cfg.reg_kind == "l2":
                 hess[np.diag_indices_from(hess)] += 2.0 * cfg.reg_lambda
             try:
-                step = np.linalg.solve(hess, step_grad.ravel())
+                flat = np.linalg.solve(hess, step_grad.ravel())
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, step_grad.ravel(), rcond=None)[0]
-            u = u - step.reshape(n_bins, n_feat)
-            if np.linalg.norm(step_grad) < 1e-13:
-                break
-        else:
-            u = u - lr * step_grad
+                flat = np.linalg.lstsq(hess, step_grad.ravel(), rcond=None)[0]
+            step = flat.reshape(n_bins, n_feat)
+        u = u - rate * step
+        if cfg.optimizer == "newton" and np.linalg.norm(step_grad) < 1e-13:
+            break
     return best_u, train_trace, test_trace, len(train_trace)
 
 
@@ -321,9 +319,7 @@ def _prepare(dataset, cfg: TrainConfig):
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
     unit = [(arr - lo) / (hi - lo) for arr in arrs]
-    designs = [
-        build_design(unit, i, cfg.level, cfg.bins, cfg.window) for i in range(1, d + 1)
-    ]
+    designs = build_design(unit, range(1, d + 1), cfg.level, cfg.bins, cfg.window)
     return d, lo, hi, designs
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augmentations import conditioning_embedding
-from .signature import as_paths, as_sequence, signatures
+from .augmentations import basepoint, mask, time_augment
+from .signature import as_paths, as_sequence, extend, signatures
 from .spline import bin_indicator, softmax, spline_inverse
 from .tensor_algebra import feature_count
 
@@ -123,7 +123,8 @@ def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
     observation last; its coordinates >= i never influence the result.
     """
     params_i = np.asarray(params_i, dtype=float)
-    sig = signatures(conditioning_embedding(x, i), level)
+    prefix, ends = chen_split(x, level)
+    sig = extend(prefix, masked_increment(ends, i), level)
     if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
         raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
     return sig @ params_i.T
@@ -136,6 +137,37 @@ def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
     return np.concatenate([history, candidate[..., None, :]], axis=-2)
 
 
+def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix signature (..., K) and last two embedded rows (..., 2, 1+d) of (..., n, d) paths.
+
+    The d masked embeddings ``conditioning_embedding(path, i)`` share all but
+    their last segment, so by Chen's identity coordinate i's signature is
+    ``extend(prefix, masked_increment(ends, i), level)``: one fold per path.
+    """
+    emb = basepoint(time_augment(path))
+    if emb.shape[-2] < 3:
+        raise ValueError(f"a conditioning path needs at least 2 rows, got {emb.shape[-2] - 1}")
+    return signatures(emb[..., :-1, :], level), emb[..., -2:, :]
+
+
+def masked_increment(ends, i: int) -> np.ndarray:
+    """Last segment of coordinate i's conditioning embedding, (..., 2, 1+d) -> (..., 1+d)."""
+    if not 1 <= i < ends.shape[-1]:
+        raise ValueError(f"coordinate {i} outside [1..{ends.shape[-1] - 1}]")
+    masked = mask(ends, i + 1)  # after the time channel, data coordinate i is channel i + 1
+    return masked[..., 1, :] - masked[..., 0, :]
+
+
+def _split(model: SigSplineModel, history, candidate=None):
+    """:func:`chen_split` of the model's conditioning paths; the candidate defaults to
+    the last history row, whose coordinates are masked until a caller writes them."""
+    hist = as_paths(history)
+    if hist.shape[-1] != model.d:
+        raise ValueError(f"history has {hist.shape[-1]} channels, model expects {model.d}")
+    candidate = hist[..., -1, :] if candidate is None else candidate
+    return chen_split(conditioning_path(hist, candidate, model.window), model.level)
+
+
 def conditional_increments(history, next_partial, i: int, model: SigSplineModel) -> np.ndarray:
     """Bin increments of coordinate i's conditional CDF, (..., n, d) -> (..., N).
 
@@ -143,40 +175,40 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
     the rest of the candidate row is filled from the last history row and is
     masked away regardless.
     """
-    hist = as_paths(history)
-    if hist.shape[-1] != model.d:
-        raise ValueError(f"history has {hist.shape[-1]} channels, model expects {model.d}")
     if not 1 <= i <= model.d:
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
-    candidate = hist[..., -1, :].copy()
-    candidate[..., : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
-    path = conditioning_path(hist, candidate, model.window)
-    return softmax(feature_map(path, i, model.params[i - 1], model.level))
+    prefix, ends = _split(model, history)
+    ends[..., -1, 1:i] = np.asarray(next_partial, dtype=float)[..., : i - 1]  # x_{<i}, after time
+    return softmax(extend(prefix, masked_increment(ends, i), model.level) @ model.params[i - 1].T)
 
 
 def log_likelihood(model: SigSplineModel, x) -> float:
-    """Log-density of the last row of ``x`` given the preceding rows."""
+    """Log-density d ln N + sum_i ln delta_i[bin(x_i)] of the last row of ``x`` given the rest.
+
+    One prefix fold, one (d, K) extension by the masked last segments, one (d, N) softmax.
+    """
     arr = as_sequence(x)
     if arr.shape[0] < 2:
         raise ValueError(f"need at least 2 rows (history + observation), got {arr.shape[0]}")
-    history, target = arr[:-1], arr[-1]
-    total = model.d * np.log(model.bins)
-    for i in range(1, model.d + 1):
-        delta = conditional_increments(history, target, i, model)
-        total += np.log(delta[bin_indicator(target[i - 1], model.bins) - 1])
-    return float(total)
+    prefix, ends = _split(model, arr[:-1], arr[-1])
+    incs = np.stack([masked_increment(ends, i) for i in range(1, model.d + 1)])
+    sigs = extend(np.broadcast_to(prefix, (model.d, prefix.size)), incs, model.level)
+    delta = softmax(np.stack([sig @ u.T for sig, u in zip(sigs, model.params)]))
+    picked = delta[np.arange(model.d), bin_indicator(arr[-1], model.bins) - 1]
+    return float(sum(np.log(picked).tolist(), model.d * np.log(model.bins)))
 
 
 def sample_step(model: SigSplineModel, history, u) -> np.ndarray:
     """One inverse-transform draw per history: x_i = F_i^{-1}(u_i | history, x_{<i})."""
-    hist = as_paths(history)
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (model.d,):
         raise ValueError(f"u must have {model.d} entries per history, got shape {u.shape}")
-    drawn = np.empty((*hist.shape[:-2], model.d))
+    prefix, ends = _split(model, history)  # one prefix fold per step
+    drawn = np.empty((*prefix.shape[:-1], model.d))
     for i in range(1, model.d + 1):
-        delta = conditional_increments(hist, drawn, i, model)
-        drawn[..., i - 1] = spline_inverse(u[..., i - 1], delta)
+        sig = extend(prefix, masked_increment(ends, i), model.level)
+        drawn[..., i - 1] = spline_inverse(u[..., i - 1], softmax(sig @ model.params[i - 1].T))
+        ends[..., -1, i] = drawn[..., i - 1]  # reveal x_i in the candidate row, after time
     return drawn
 
 

@@ -6,7 +6,7 @@ iterated integrals indexed by words over the e channels. For a linear segment
 the signature is the tensor exponential of the increment, and the signature of
 the whole sequence is the left-to-right Chen product over segments.
 
-:func:`signatures` folds (..., n, e) stacks; ``tensor_product`` is its test reference.
+:func:`signatures` folds (..., n, e) stacks by :func:`extend`; ``tensor_product`` is the reference.
 
 ``signature_oracle`` evaluates single coefficients by direct numerical
 integration on a uniform grid. It shares no code with the exponential/Chen
@@ -42,29 +42,41 @@ def as_sequence(x) -> np.ndarray:
 def signatures(x, level: int) -> np.ndarray:
     """Truncated signatures of a stack of sequences, (..., n, e) -> (..., K).
 
-    Each row folds its segment exponentials left to right with the products
-    and summation order of ``tensor_product`` and skips zero increments, so it
-    equals the per-sample Chen fold bit for bit.
+    Each row folds its segment exponentials left to right with :func:`extend`,
+    so it equals the per-sample ``tensor_product`` fold bit for bit.
     """
     arr = as_paths(x)
     paths = arr.reshape(-1, *arr.shape[-2:])
     out = np.zeros((len(paths), feature_count(arr.shape[-1], level)))
     out[:, 0] = 1.0
-    offsets = _level_offsets(arr.shape[-1], level)
     for start in range(0, len(paths), CHUNK_ROWS):
         chunk, sig = paths[start : start + CHUNK_ROWS], out[start : start + CHUNK_ROWS]
         for inc in np.diff(chunk, axis=1).transpose(1, 0, 2):
-            expo = [np.ones((len(inc), 1))]  # word w of length k: prod_j inc[w_j] / k!
-            prod = np.zeros_like(sig)
-            for k in range(level + 1):
-                if k:
-                    expo.append((expo[-1][:, :, None] * inc[:, None, :]).reshape(len(inc), -1) / k)
-                block = prod[:, offsets[k] : offsets[k + 1]]
-                for j in range(k + 1):
-                    left = sig[:, offsets[j] : offsets[j + 1], None]
-                    block += (left * expo[k - j][:, None, :]).reshape(len(inc), -1)
-            sig[:] = np.where(np.any(inc != 0, axis=1)[:, None], prod, sig)
+            sig[:] = extend(sig, inc, level)
     return out.reshape(*arr.shape[:-2], out.shape[1])
+
+
+def extend(sig, increments, level: int) -> np.ndarray:
+    """Chen's identity for one segment: (..., K) signatures ⊗ exp((..., e) increments).
+
+    Products and summation order are those of ``tensor_product``; a zero
+    increment leaves its row unchanged, as the per-sample fold skips it.
+    """
+    sig, inc = np.asarray(sig, dtype=float), np.asarray(increments, dtype=float)
+    offsets = _level_offsets(inc.shape[-1], level)
+    if sig.shape != (*inc.shape[:-1], offsets[-1]):
+        raise ValueError(f"signatures of shape {sig.shape} do not fit increments {inc.shape}")
+    shape, sig, inc = sig.shape, sig.reshape(-1, offsets[-1]), inc.reshape(-1, inc.shape[-1])
+    expo = [np.ones((len(inc), 1))]  # word w of length k: prod_j inc[w_j] / k!
+    prod = np.zeros_like(sig)
+    for k in range(level + 1):
+        if k:
+            expo.append((expo[-1][:, :, None] * inc[:, None, :]).reshape(len(inc), -1) / k)
+        block = prod[:, offsets[k] : offsets[k + 1]]
+        for j in range(k + 1):
+            left = sig[:, offsets[j] : offsets[j + 1], None]
+            block += (left * expo[k - j][:, None, :]).reshape(len(inc), -1)
+    return np.where((inc != 0).any(axis=1)[:, None], prod, sig).reshape(shape)
 
 
 def segment_signature(increment, level: int) -> TruncatedTensor:

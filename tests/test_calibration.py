@@ -351,3 +351,37 @@ def test_design_uses_masked_signatures(rng):
     feats, cbin = build_design(data, 1, level=1, bins=4)
     assert feats.shape == (4, 4) and np.all(feats[:, 0] == 1.0)
     assert cbin.min() >= 0 and cbin.max() < 4
+
+
+
+
+def test_newton_divergence_recovery_halves_the_newton_step(rng, monkeypatch):
+    # the objective reads as overflowed beyond a radius that the first full
+    # Newton step crosses and the halved step does not; recovery must retry
+    # that step halved and must not record the restored iterate again
+    from sigspline import calibration
+
+    feats, cbin = build_design(random_unit_sequences(rng, 30, 3, 1), 1, level=1, bins=3)
+    train, test = np.arange(24), np.arange(24, 30)
+    cfg = TrainConfig(level=1, bins=3, optimizer="newton", reg_kind="l2", reg_lambda=0.01,
+                      max_iters=2)
+    real_nll = calibration._nll_and_grad
+    radius, visited = np.inf, []  # visited: iterates whose training objective is evaluated
+
+    def nll_and_grad(u, f, c, want_grad=True):
+        if want_grad:
+            visited.append(u.copy())
+        nll, grad = real_nll(u, f, c, want_grad)
+        return (nll if np.linalg.norm(u) < radius else np.inf), grad
+
+    monkeypatch.setattr(calibration, "_nll_and_grad", nll_and_grad)
+    _fit_coordinate(feats, cbin, train, test, cfg)
+    full_step = visited[1]
+    radius = 0.75 * np.linalg.norm(full_step)
+    visited.clear()
+    _, train_trace, test_trace, stop = _fit_coordinate(feats, cbin, train, test, cfg)
+    assert not np.any(visited[0]) and np.array_equal(visited[1], full_step)
+    assert np.array_equal(visited[2], 0.5 * full_step)  # not the identical step again
+    assert stop == 2 and len(test_trace) == 2
+    assert train_trace == [real_nll(u, feats[train], cbin[train], False)[0]
+                           for u in (visited[0], visited[2])]
