@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Record one point of the benchmark trajectory as ``BENCH_<pr>.json``.
+
+Measures a checkout with its own ``perfbench/run.py`` and tests, run as
+subprocesses with one BLAS thread:
+
+* every workload in its ``BENCHMARK.json``: ``RUNS`` end-to-end runs of its
+  ``run_seconds`` each, reduced to the median, quartiles and IQR of each
+  metric across runs, plus one ``--trace 1`` run for the per-layer metrics;
+* the tier-1 suite (the command in ROADMAP.md), timed as a whole;
+* the ``configs/`` pipeline, ``simulate -> fit -> sample -> evaluate``, each
+  stage timed as one ``python -m sigspline`` process;
+* the environment line that ``perfbench/run.py`` prints.
+
+The result is written to ``BENCH_<pr>.json`` at the root of the measured
+checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
+commits, run this script on each checkout, one after the other:
+
+    python3 scripts/record_bench.py --pr 6
+    python3 scripts/record_bench.py --pr 5 --repo ../parent-checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV_PREFIX = "# environment: "
+RUNS = 5  # fixed, like the run length, so that every BENCH file compares with every other
+PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
+    ("simulate", "simulate_var2.json"),
+    ("fit", "fit_var2.json"),
+    ("sample", "sample.json"),
+    ("evaluate", "evaluate.json"),
+)
+
+
+def _env(repo: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(cmd: list[str], cwd: Path, env: dict, check: bool = True):
+    """Run cmd to completion; returns (stdout, wall seconds, exit code)."""
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if check and proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return proc.stdout, wall, proc.returncode
+
+
+def _source(repo: Path) -> dict:
+    """The measured commit, and whether the program or the benchmark differ from it."""
+    git = ["git", "-C", str(repo)]
+    commit = _run([*git, "rev-parse", "HEAD"], repo, os.environ)[0].strip()
+    status = _run([*git, "status", "--porcelain", "--", "src", "perfbench"], repo, os.environ)[0]
+    return {"commit": commit, "modified": bool(status.strip())}
+
+
+def _bench_run(repo: Path, command: list[str], workload: str, seconds: float, trace: int):
+    out = _run([*command, "--workload", workload, "--seconds", str(seconds),
+                "--trace", str(trace)], repo, _env(repo))[0]
+    lines = out.splitlines()
+    environment = next(json.loads(line[len(ENV_PREFIX):]) for line in lines
+                       if line.startswith(ENV_PREFIX))
+    return json.loads(lines[-1]), environment
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1),
+            "runs": values}
+
+
+def record_workload(repo: Path, command: list[str], workload: str, seconds: float):
+    results = []
+    for _ in range(RUNS):
+        result, environment = _bench_run(repo, command, workload, seconds, trace=0)
+        results.append(result)
+    traced, _ = _bench_run(repo, command, workload, seconds, trace=1)
+    end_to_end = {
+        name: {"unit": value["unit"], **_spread([r["metrics"][name]["value"] for r in results])}
+        for name, value in results[0]["metrics"].items()
+    }
+    return {
+        "correct": all(r["correct"] for r in results) and traced["correct"],
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "end_to_end": end_to_end,
+        "per_layer": traced["metrics"],
+    }, environment
+
+
+def record_tier1(repo: Path) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    out, wall, code = _run(cmd, repo, _env(repo), check=False)  # a failing suite is recorded
+    return {"wall_s": wall, "exit_code": code, "summary": out.strip().splitlines()[-1]}
+
+
+def record_pipeline(repo: Path) -> dict:
+    work = repo / ".bench_runs" / "configs"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    times = {}
+    for stage, config in PIPELINE:
+        cmd = [sys.executable, "-m", "sigspline", stage, "--config", str(repo / "configs" / config)]
+        times[f"{stage}_s"] = _run(cmd, work, _env(repo))[1]
+    return times
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    repo = args.repo.resolve()
+    spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    record = {"pr": args.pr, "source": _source(repo), "seconds_per_run": seconds,
+              "runs": RUNS, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
+        print(f"measuring {workload}", file=sys.stderr)
+        record["workloads"][workload], record["environment"] = record_workload(
+            repo, spec["command"], workload, seconds)
+    print("timing the tier-1 suite", file=sys.stderr)
+    record["tier1"] = record_tier1(repo)
+    print("timing the configs/ pipeline", file=sys.stderr)
+    record["configs_pipeline"] = record_pipeline(repo)
+    out = repo / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

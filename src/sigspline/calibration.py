@@ -9,6 +9,7 @@ masked conditioning paths: convex, with closed-form gradient
 
 p the softmax probabilities, c the one-hot bin indicator, y the feature
 vector, and Hessian (diag(p) - p p^T) kron (y y^T), positive semidefinite.
+It is assembled as blockdiag(R^T Y) - R^T R from the rows R = p kron y: two GEMMs.
 Features are computed once up front; every optimizer iteration is then a pure
 linear-algebra pass. Fitting is full-batch gradient descent (or Newton for
 small problems), with early stopping on a held-out split.
@@ -22,13 +23,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
-    SigSplineModel, chen_split, conditioning_path, masked_increment, sliding_windows, to_unit,
+    SigSplineModel, chen_split, conditioning_path, masked_increment, parameter_count,
+    sliding_windows, to_unit,
 )
 from .signature import CHUNK_ROWS, as_sequence, extend
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
 HESSIAN_SIZE_LIMIT = 10_000
+HESSIAN_CHUNK_ROWS = 512  # design rows per Hessian product; bounds the (rows, N*K) weighted copy
 MAX_RESTARTS = 5
 
 
@@ -203,25 +206,24 @@ def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind
     return loss(model, dataset) + sum(_penalty(u, reg_kind, reg_lambda) for u in model.params)
 
 
-def _hessian_from_design(u: np.ndarray, feats: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _hessian_from_design(u: np.ndarray, feats: np.ndarray) -> np.ndarray:
     n_bins, n_feat = u.shape
     size = n_bins * n_feat
     if size > HESSIAN_SIZE_LIMIT:  # checked before the first Newton step allocates
         raise ValueError(f"Hessian of size {size}^2 exceeds the {HESSIAN_SIZE_LIMIT} guard; "
                          "use gradient_descent")
     hess = np.zeros((size, size))
-    diag_blocks = np.zeros((n_bins, n_feat, n_feat))
-    for start in range(0, feats.shape[0], chunk):
-        fs = feats[start : start + chunk]
+    blocks = np.zeros((size, n_feat))
+    for start in range(0, feats.shape[0], HESSIAN_CHUNK_ROWS):
+        fs = feats[start : start + HESSIAN_CHUNK_ROWS]
         logits = fs @ u.T
         expd = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = expd / expd.sum(axis=1, keepdims=True)
-        weighted = probs[:, :, None] * fs[:, None, :]
-        flat = weighted.reshape(fs.shape[0], size)
+        flat = (probs[:, :, None] * fs[:, None, :]).reshape(fs.shape[0], size)  # rows p_j kron y_j
         hess -= flat.T @ flat
-        diag_blocks += np.einsum("ja,jb,je->abe", probs, fs, fs)
-    for a in range(n_bins):
-        hess[a * n_feat : (a + 1) * n_feat, a * n_feat : (a + 1) * n_feat] += diag_blocks[a]
+        blocks += flat.T @ fs  # row block a: sum_j p_ja y_j y_j^T
+    bins, grid = np.arange(n_bins), hess.reshape(n_bins, n_feat, n_bins, n_feat)  # a view
+    grid[bins, :, bins, :] += blocks.reshape(n_bins, n_feat, n_feat)
     return hess / feats.shape[0]
 
 
@@ -390,7 +392,7 @@ def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeed
         "test_nll_std": float(test.std(ddof=1)) if n_seeds > 1 else 0.0,
         "train_nll_mean": float(train.mean()),
         "train_nll_std": float(train.std(ddof=1)) if n_seeds > 1 else 0.0,
-        "parameter_count": d * config.bins * feature_count(1 + d, config.level),
+        "parameter_count": parameter_count(d, config.level, config.bins),
     }
     return MultiSeedResult(reports, models, summary, int(np.argmin(test)))
 

@@ -59,7 +59,7 @@ def spline_cdf(x, delta):
     delta = _check_delta(delta)
     x = _check_unit(x, "x")
     n = delta.size
-    k = np.minimum(np.floor(x * n).astype(int), n - 1)
+    k = bin_indicator(x, n) - 1
     cum = np.concatenate(([0.0], np.cumsum(delta)))
     out = cum[k] + (x - k / n) * delta[k] * n
     out = np.clip(out, 0.0, 1.0)
@@ -86,9 +86,8 @@ def spline_inverse(u, delta):
 def spline_density(x, delta):
     """Piecewise-constant density N * delta[bin(x)]."""
     delta = _check_delta(delta)
-    x = _check_unit(x, "x")
     n = delta.size
-    k = np.minimum(np.floor(x * n).astype(int), n - 1)
+    k = bin_indicator(x, n) - 1
     out = n * delta[k]
     return float(out) if out.ndim == 0 else out
 
@@ -96,8 +95,7 @@ def spline_density(x, delta):
 def spline_log_density(x, delta):
     """ln N + ln delta[bin(x)] — the expansion the likelihood terms use."""
     delta = _check_delta(delta)
-    x = _check_unit(x, "x")
     n = delta.size
-    k = np.minimum(np.floor(x * n).astype(int), n - 1)
+    k = bin_indicator(x, n) - 1
     out = np.log(n) + np.log(delta[k])
     return float(out) if out.ndim == 0 else out

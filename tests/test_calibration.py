@@ -19,6 +19,7 @@ from sigspline.calibration import (
     regularized_loss,
 )
 from sigspline.model import SigSplineModel, conditional_increments, zero_model
+from sigspline.spline import softmax
 from tests.conftest import random_model, random_unit_sequences
 
 
@@ -149,6 +150,19 @@ class TestHessian:
         analytic = hessian(model, data, 1)
         numeric = finite_difference_hessian(model, data, 1)
         assert np.linalg.norm(analytic - numeric) <= 1e-4 * max(np.linalg.norm(analytic), 1e-3)
+
+    def test_matches_kronecker_definition_across_chunks(self, rng):
+        # 1100 windows cross two 512-row chunk boundaries and leave a short last chunk
+        model = random_model(rng, d=2, level=1, bins=4)  # N = 4 bins, K = 4 features
+        data = random_unit_sequences(rng, 1100, 3, 2)
+        feats, _ = build_design(data, 2, level=1, bins=4)
+        expected = np.zeros((16, 16))
+        for y in feats:
+            p = softmax(model.params[1] @ y)
+            expected += np.kron(np.diag(p) - np.outer(p, p), np.outer(y, y))
+        expected /= len(feats)
+        h = hessian(model, data, 2)
+        assert np.linalg.norm(h - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_size_guard(self, rng):
         model = zero_model(2, 4, 128)  # 128 * 121 > 10^4
