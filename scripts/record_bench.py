@@ -6,7 +6,8 @@ subprocesses with one BLAS thread:
 
 * every workload in its ``BENCHMARK.json``: ``RUNS`` end-to-end runs of its
   ``run_seconds`` each, reduced to the median, quartiles and IQR of each
-  metric across runs, plus one ``--trace 1`` run for the per-layer metrics;
+  metric across runs, plus ``TRACE_RUNS`` ``--trace 1`` runs whose per-layer
+  metrics are reduced the same way;
 * the tier-1 suite (the command in ROADMAP.md), timed as a whole;
 * the ``configs/`` pipeline, ``simulate -> fit -> sample -> evaluate``, each
   stage timed as one ``python -m sigspline`` process;
@@ -36,6 +37,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "# environment: "
 RUNS = 5  # fixed, like the run length, so that every BENCH file compares with every other
+TRACE_RUNS = 3  # one traced run is too noisy for a per-layer comparison
 PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
     ("simulate", "simulate_var2.json"),
     ("fit", "fit_var2.json"),
@@ -83,22 +85,23 @@ def _spread(values: list[float]) -> dict:
             "runs": values}
 
 
-def record_workload(repo: Path, command: list[str], workload: str, seconds: float):
-    results = []
-    for _ in range(RUNS):
-        result, environment = _bench_run(repo, command, workload, seconds, trace=0)
-        results.append(result)
-    traced, _ = _bench_run(repo, command, workload, seconds, trace=1)
-    end_to_end = {
+def _reduce(results: list[dict]) -> dict:
+    return {
         name: {"unit": value["unit"], **_spread([r["metrics"][name]["value"] for r in results])}
         for name, value in results[0]["metrics"].items()
     }
+
+
+def record_workload(repo: Path, command: list[str], workload: str, seconds: float):
+    runs = [_bench_run(repo, command, workload, seconds, trace=0) for _ in range(RUNS)]
+    traced = [_bench_run(repo, command, workload, seconds, trace=1)[0] for _ in range(TRACE_RUNS)]
+    results, environment = [result for result, _ in runs], runs[-1][1]
     return {
-        "correct": all(r["correct"] for r in results) and traced["correct"],
+        "correct": all(r["correct"] for r in results + traced),
         "attempted": sum(r["attempted"] for r in results),
         "failed": sum(r["failed"] for r in results),
-        "end_to_end": end_to_end,
-        "per_layer": traced["metrics"],
+        "end_to_end": _reduce(results),
+        "per_layer": _reduce(traced),
     }, environment
 
 
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
     spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     record = {"pr": args.pr, "source": _source(repo), "seconds_per_run": seconds,
-              "runs": RUNS, "workloads": {}}
+              "runs": RUNS, "trace_runs": TRACE_RUNS, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(

@@ -12,7 +12,11 @@ vector, and Hessian (diag(p) - p p^T) kron (y y^T), positive semidefinite.
 It is assembled as blockdiag(R^T Y) - R^T R from the rows R = p kron y: two GEMMs.
 Features are computed once up front; every optimizer iteration is then a pure
 linear-algebra pass. Fitting is full-batch gradient descent (or Newton for
-small problems), with early stopping on a held-out split.
+small problems), with early stopping on a held-out split. The designs are
+rank-deficient (the time channel makes S(1) = 1, and the shuffle identity ties
+the lower levels to level L), so Newton builds its Hessian and solves in an
+orthonormal basis Q of the design's row space, Y = (Y Q) Q^T, and maps the
+step back; iterates, objective and stopping stay in full coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
 HESSIAN_SIZE_LIMIT = 10_000
-HESSIAN_CHUNK_ROWS = 512  # design rows per Hessian product; bounds the (rows, N*K) weighted copy
+HESSIAN_CHUNK_ROWS = 512  # design rows per Hessian product; bounds the (rows, N*cols) weighted copy
+ROW_SPACE_RTOL = 1e-12  # kept singular values, relative to the largest; designs show ~11-order gaps
 MAX_RESTARTS = 5
 
 
@@ -206,12 +211,23 @@ def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind
     return loss(model, dataset) + sum(_penalty(u, reg_kind, reg_lambda) for u in model.params)
 
 
+def _check_hessian_size(n_bins: int, n_feat: int) -> None:
+    # the guard is on the full N*K problem, checked before anything is allocated
+    size = n_bins * n_feat
+    if size > HESSIAN_SIZE_LIMIT:
+        raise ValueError(f"Hessian of size {size}^2 exceeds the {HESSIAN_SIZE_LIMIT} guard; "
+                         "use gradient_descent")
+
+
+def _row_space_basis(feats: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q (K x r) of the design's row space, r its numerical rank."""
+    _, sing, vt = np.linalg.svd(feats, full_matrices=False)
+    return vt[: np.count_nonzero(sing > ROW_SPACE_RTOL * sing[0])].T
+
+
 def _hessian_from_design(u: np.ndarray, feats: np.ndarray) -> np.ndarray:
     n_bins, n_feat = u.shape
     size = n_bins * n_feat
-    if size > HESSIAN_SIZE_LIMIT:  # checked before the first Newton step allocates
-        raise ValueError(f"Hessian of size {size}^2 exceeds the {HESSIAN_SIZE_LIMIT} guard; "
-                         "use gradient_descent")
     hess = np.zeros((size, size))
     blocks = np.zeros((size, n_feat))
     for start in range(0, feats.shape[0], HESSIAN_CHUNK_ROWS):
@@ -232,6 +248,7 @@ def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
 
     Row/column order follows params[i-1].ravel(): bin-major, feature-minor.
     """
+    _check_hessian_size(model.bins, model.params[i - 1].shape[1])
     feats, _ = _designs(model, dataset, i)
     return _hessian_from_design(model.params[i - 1], feats)
 
@@ -255,6 +272,10 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
     u = np.zeros((n_bins, n_feat))
     ftr, ctr = feats[train_idx], cbin[train_idx]
     fte, cte = feats[test_idx], cbin[test_idx]
+    if cfg.optimizer == "newton":  # Newton's Hessian and solve live in the design's row space
+        _check_hessian_size(n_bins, n_feat)
+        basis = _row_space_basis(feats)
+        ftr_basis = ftr @ basis
 
     # the learning rate, or for Newton the fraction of the full step; restarts halve it
     rate = 1.0 if cfg.optimizer == "newton" else cfg.learning_rate
@@ -292,14 +313,16 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
         step_grad = grad + _penalty_grad(u, cfg.reg_kind, cfg.reg_lambda)
         step = step_grad
         if cfg.optimizer == "newton":
-            hess = _hessian_from_design(u, ftr)
+            hess = _hessian_from_design(u @ basis, ftr_basis)
             if cfg.reg_kind == "l2":
                 hess[np.diag_indices_from(hess)] += 2.0 * cfg.reg_lambda
+            rhs = (step_grad @ basis).ravel()
             try:
-                flat = np.linalg.solve(hess, step_grad.ravel())
+                flat = np.linalg.solve(hess, rhs)
             except np.linalg.LinAlgError:
-                flat = np.linalg.lstsq(hess, step_grad.ravel(), rcond=None)[0]
-            step = flat.reshape(n_bins, n_feat)
+                flat = np.linalg.lstsq(hess, rhs, rcond=None)[0]
+            step = flat.reshape(n_bins, -1) @ basis.T
+            step -= step.mean(axis=0)  # shifting all bins' logits alike changes nothing: min norm
         u = u - rate * step
         if cfg.optimizer == "newton" and np.linalg.norm(step_grad) < 1e-13:
             break

@@ -9,6 +9,7 @@ from sigspline.calibration import (
     TrainConfig,
     _fit_coordinate,
     _prepare,
+    _row_space_basis,
     _split_indices,
     build_design,
     fit,
@@ -20,6 +21,7 @@ from sigspline.calibration import (
 )
 from sigspline.model import SigSplineModel, conditional_increments, zero_model
 from sigspline.spline import softmax
+from sigspline.tensor_algebra import feature_count
 from tests.conftest import random_model, random_unit_sequences
 
 
@@ -399,3 +401,65 @@ def test_newton_divergence_recovery_halves_the_newton_step(rng, monkeypatch):
     assert stop == 2 and len(test_trace) == 2
     assert train_trace == [real_nll(u, feats[train], cbin[train], False)[0]
                            for u in (visited[0], visited[2])]
+
+
+def first_newton_step(feats, cbin, train, test, cfg):
+    """The step that _fit_coordinate takes from zero: minus its second iterate
+    (the full step, rate 1); cfg.max_iters must be at least 2."""
+    from sigspline import calibration
+
+    real_nll, visited = calibration._nll_and_grad, []
+
+    def nll_and_grad(u, f, c, want_grad=True):
+        if want_grad:
+            visited.append(u.copy())
+        return real_nll(u, f, c, want_grad)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibration, "_nll_and_grad", nll_and_grad)
+        _fit_coordinate(feats, cbin, train, test, cfg)
+    return -visited[1]
+
+
+def test_designs_have_their_structural_rank(rng):
+    # the time channel makes S(1) = 1, so by the shuffle identity the levels
+    # below L are combinations of level L: rank <= e^L with e = 1 + d
+    data = random_unit_sequences(rng, 60, 3, 2)
+    for level, ranks in ((1, (3, 3)), (2, (9, 9)), (3, (23, 26))):
+        for i, rank in zip((1, 2), ranks):
+            feats, _ = build_design(data, i, level, 4, window=2)
+            basis = _row_space_basis(feats)
+            assert basis.shape == (feature_count(3, level), rank) and rank <= 3**level
+            assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
+            assert np.abs(feats - feats @ basis @ basis.T).max() <= 1e-12 * np.abs(feats).max()
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_row_space_newton_step_equals_the_full_solve(level, rng):
+    data = random_unit_sequences(rng, 60, 3, 2)
+    train, test = np.arange(48), np.arange(48, 60)
+    lam = 0.01
+    cfg = TrainConfig(level=level, bins=4, window=2, optimizer="newton", reg_kind="l2",
+                      reg_lambda=lam, max_iters=2)
+    model, seen = zero_model(2, level, 4, window=2), [data[j] for j in train]
+    for i in (1, 2):
+        feats, cbin = build_design(data, i, level, 4, window=2)
+        hess = hessian(model, seen, i) + 2.0 * lam * np.eye(4 * feats.shape[1])
+        full = np.linalg.solve(hess, gradient(model, seen)[i - 1].ravel()).reshape(4, -1)
+        step = first_newton_step(feats, cbin, train, test, cfg)
+        assert np.abs(step - full).max() <= 1e-10
+
+
+def test_unregularized_newton_takes_the_minimum_norm_step(rng):
+    # the Hessian is singular along every all-bins shift and every direction
+    # outside the design's row space; the step is the least-squares one
+    data = random_unit_sequences(rng, 60, 3, 2)
+    train, test = np.arange(48), np.arange(48, 60)
+    cfg = TrainConfig(level=2, bins=4, window=2, optimizer="newton", max_iters=2)
+    model, seen = zero_model(2, 2, 4, window=2), [data[j] for j in train]
+    for i in (1, 2):
+        feats, cbin = build_design(data, i, 2, 4, window=2)
+        grad = gradient(model, seen)[i - 1].ravel()
+        full = np.linalg.lstsq(hessian(model, seen, i), grad, rcond=None)[0].reshape(4, -1)
+        step = first_newton_step(feats, cbin, train, test, cfg)
+        assert np.abs(step - full).max() <= 1e-9
