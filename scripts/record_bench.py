@@ -11,7 +11,9 @@ subprocesses with one BLAS thread:
 * the tier-1 suite (the command in ROADMAP.md), timed as a whole;
 * the ``configs/`` pipeline, ``simulate -> fit -> sample -> evaluate``, each
   stage timed as one ``python -m sigspline`` process;
-* the environment line that ``perfbench/run.py`` prints.
+* the environment line that ``perfbench/run.py`` prints;
+* ``src_lines``: the line count of each ``src/sigspline/*.py`` and their
+  total, counted as ``wc -l`` counts them.
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
 checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
@@ -122,6 +124,12 @@ def record_pipeline(repo: Path) -> dict:
     return times
 
 
+def record_src_lines(repo: Path) -> dict:
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((repo / "src" / "sigspline").glob("*.py"))}
+    return {"total": sum(files.values()), "files": files}
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -135,7 +143,8 @@ def main(argv=None) -> int:
     spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     record = {"pr": args.pr, "source": _source(repo), "seconds_per_run": seconds,
-              "runs": RUNS, "trace_runs": TRACE_RUNS, "workloads": {}}
+              "runs": RUNS, "trace_runs": TRACE_RUNS, "src_lines": record_src_lines(repo),
+              "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(

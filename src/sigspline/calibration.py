@@ -27,10 +27,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
-    SigSplineModel, chen_split, conditioning_path, masked_increment, parameter_count,
-    sliding_windows, to_unit,
+    SigSplineModel, conditioning_signatures, parameter_count, sliding_windows, to_unit,
 )
-from .signature import CHUNK_ROWS, as_sequence, extend
+from .signature import CHUNK_ROWS, as_sequence
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
@@ -128,23 +127,26 @@ def report_to_dict(report: FitReport, include_timing: bool = False) -> dict:
 
 def build_design(dataset, i, level: int, bins: int, window: int | None = None):
     """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
-    list of them if ``i`` is a sequence. Equal-length sequences fold their
-    prefixes once, CHUNK_ROWS at a time, then extend into every coordinate's rows."""
+    list of them if ``i`` is a sequence. Equal-length sequences are featurized
+    CHUNK_ROWS at a time by :func:`~sigspline.model.conditioning_signatures`."""
     coords = list(i) if np.ndim(i) else [i]
     arrs = [as_sequence(seq) for seq in dataset]
     lengths = np.array([arr.shape[0] for arr in arrs])
     if lengths.min() < 2:
         raise ValueError(f"sequence {int(np.argmin(lengths))} has fewer than 2 rows")
-    k = feature_count(1 + arrs[0].shape[1], level)
+    d = arrs[0].shape[1]
+    if not set(coords) <= set(range(1, d + 1)):
+        raise ValueError(f"coordinates {coords} outside [1..{d}]")
+    k = feature_count(1 + d, level)
     designs = [(np.empty((len(arrs), k)), np.empty(len(arrs), dtype=int)) for _ in coords]
     for n in set(lengths.tolist()):
         group = np.flatnonzero(lengths == n)
         for rows in np.split(group, range(CHUNK_ROWS, len(group), CHUNK_ROWS)):
             x = np.stack([arrs[j] for j in rows])
-            prefix, ends = chen_split(conditioning_path(x[:, :-1], x[:, -1], window), level)
+            sigs = conditioning_signatures(x, level, window)
+            last_bins = bin_indicator(x[:, -1], bins) - 1
             for c, (feats, cbins) in zip(coords, designs):
-                feats[rows] = extend(prefix, masked_increment(ends, c), level)
-                cbins[rows] = bin_indicator(x[:, -1, c - 1], bins) - 1
+                feats[rows], cbins[rows] = sigs[c - 1], last_bins[:, c - 1]
     return designs if np.ndim(i) else designs[0]
 
 

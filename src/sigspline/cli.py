@@ -98,6 +98,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(config)
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in loaded.items():  # a file value takes its default's type
+            default = DEFAULTS[command][key]
+            kinds = {type(None): (str,), float: (int, float)}.get(type(default), (type(default),))
+            if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
         config.update(loaded)
     for key in config:
         value = getattr(args, key.replace("-", "_"), None)

@@ -184,18 +184,8 @@ def self_evaluation(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -> M
 
 def self_evaluation_report(data, include_abs_acf: bool = False) -> "EvaluationReport":
     """:func:`self_evaluation` packaged in the aggregated report shape."""
-    report = self_evaluation(data, include_abs_acf=include_abs_acf)
-    statistics = {
-        name: {
-            "real": entry.real,
-            "generated_mean": entry.generated,
-            "discrepancy_mean": entry.discrepancy,
-            "discrepancy_std": 0.0,
-            "per_seed_discrepancy": [entry.discrepancy],
-        }
-        for name, entry in report.entries.items()
-    }
-    return EvaluationReport(statistics, [report], n_seeds=1, horizon=0, batch=0)
+    stats = dataset_statistics(data, DEFAULT_LAGS, include_abs_acf)
+    return _aggregate(stats, [compare_statistics(stats, stats)], horizon=0, batch=0)
 
 
 @dataclass
@@ -216,13 +206,7 @@ class EvaluationReport:
             "horizon": self.horizon,
             "batch": self.batch,
             "statistics": {
-                name: {
-                    "real": np.asarray(vals["real"]).tolist(),
-                    "generated_mean": np.asarray(vals["generated_mean"]).tolist(),
-                    "discrepancy_mean": vals["discrepancy_mean"],
-                    "discrepancy_std": vals["discrepancy_std"],
-                    "per_seed_discrepancy": vals["per_seed_discrepancy"],
-                }
+                name: {key: np.asarray(value).tolist() for key, value in vals.items()}
                 for name, vals in self.statistics.items()
             },
         }
@@ -252,18 +236,22 @@ def evaluate(
         generated = sample_from_series(model, real, batch, horizon, rng)
         gen_stats = dataset_statistics(generated, include_abs_acf=include_abs_acf)
         per_seed.append(compare_statistics(real_stats, gen_stats))
+    return _aggregate(real_stats, per_seed, horizon, batch)
+
+
+def _aggregate(real_stats: dict, per_seed: list[MetricReport], horizon: int, batch: int):
+    """Seed mean and spread of each statistic's discrepancy, in an :class:`EvaluationReport`."""
     statistics = {}
     for name in real_stats:
         discs = [r.entries[name].discrepancy for r in per_seed]
-        gen_mean = np.mean([r.entries[name].generated for r in per_seed], axis=0)
         statistics[name] = {
             "real": real_stats[name],
-            "generated_mean": gen_mean,
+            "generated_mean": np.mean([r.entries[name].generated for r in per_seed], axis=0),
             "discrepancy_mean": float(np.mean(discs)),
-            "discrepancy_std": float(np.std(discs, ddof=1)) if seeds > 1 else 0.0,
+            "discrepancy_std": float(np.std(discs, ddof=1)) if len(per_seed) > 1 else 0.0,
             "per_seed_discrepancy": [float(v) for v in discs],
         }
-    return EvaluationReport(statistics, per_seed, seeds, horizon, batch)
+    return EvaluationReport(statistics, per_seed, len(per_seed), horizon, batch)
 
 
 def format_table(reports: dict[str, EvaluationReport] | EvaluationReport) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .augmentations import basepoint, mask, time_augment
 from .signature import as_paths, as_sequence, extend, signatures
-from .spline import bin_indicator, softmax, spline_inverse
+from .spline import softmax, spline_inverse, spline_log_density
 from .tensor_algebra import feature_count
 
 CLAMP_EPS = 1e-6
@@ -158,14 +158,23 @@ def masked_increment(ends, i: int) -> np.ndarray:
     return masked[..., 1, :] - masked[..., 0, :]
 
 
-def _split(model: SigSplineModel, history, candidate=None):
-    """:func:`chen_split` of the model's conditioning paths; the candidate defaults to
-    the last history row, whose coordinates are masked until a caller writes them."""
+def conditioning_signatures(x, level: int, window: int | None) -> np.ndarray:
+    """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows: row i - 1
+    is ``signatures(conditioning_embedding(path, i), level)`` of the window's ``conditioning_path``,
+    from one prefix fold and one stacked extension by the d masked last segments."""
+    arr = as_paths(x)
+    prefix, ends = chen_split(conditioning_path(arr[..., :-1, :], arr[..., -1, :], window), level)
+    incs = np.stack([masked_increment(ends, i) for i in range(1, arr.shape[-1] + 1)])
+    return extend(np.broadcast_to(prefix, (*incs.shape[:-1], prefix.shape[-1])), incs, level)
+
+
+def _split(model: SigSplineModel, history):
+    """:func:`chen_split` of the model's conditioning paths; the candidate is the last
+    history row, whose coordinates are masked until a caller writes them."""
     hist = as_paths(history)
     if hist.shape[-1] != model.d:
         raise ValueError(f"history has {hist.shape[-1]} channels, model expects {model.d}")
-    candidate = hist[..., -1, :] if candidate is None else candidate
-    return chen_split(conditioning_path(hist, candidate, model.window), model.level)
+    return chen_split(conditioning_path(hist, hist[..., -1, :], model.window), model.level)
 
 
 def conditional_increments(history, next_partial, i: int, model: SigSplineModel) -> np.ndarray:
@@ -182,20 +191,15 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
     return softmax(extend(prefix, masked_increment(ends, i), model.level) @ model.params[i - 1].T)
 
 
-def log_likelihood(model: SigSplineModel, x) -> float:
-    """Log-density d ln N + sum_i ln delta_i[bin(x_i)] of the last row of ``x`` given the rest.
-
-    One prefix fold, one (d, K) extension by the masked last segments, one (d, N) softmax.
-    """
-    arr = as_sequence(x)
-    if arr.shape[0] < 2:
-        raise ValueError(f"need at least 2 rows (history + observation), got {arr.shape[0]}")
-    prefix, ends = _split(model, arr[:-1], arr[-1])
-    incs = np.stack([masked_increment(ends, i) for i in range(1, model.d + 1)])
-    sigs = extend(np.broadcast_to(prefix, (model.d, prefix.size)), incs, model.level)
-    delta = softmax(np.stack([sig @ u.T for sig, u in zip(sigs, model.params)]))
-    picked = delta[np.arange(model.d), bin_indicator(arr[-1], model.bins) - 1]
-    return float(sum(np.log(picked).tolist(), model.d * np.log(model.bins)))
+def log_likelihood(model: SigSplineModel, x) -> float | np.ndarray:
+    """Log-density d ln N + sum_i ln delta_i[bin(x_i)] of each window's last row given the rest:
+    (..., n, d) windows -> (...) values, and a float for one (n, d) window."""
+    sigs = conditioning_signatures(x, model.level, model.window)
+    if len(sigs) != model.d:
+        raise ValueError(f"windows have {len(sigs)} channels, model expects {model.d}")
+    delta = softmax(np.stack([sig @ u.T for sig, u in zip(sigs, model.params)], axis=-2))
+    out = spline_log_density(np.asarray(x, dtype=float)[..., -1, :], delta).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_step(model: SigSplineModel, history, u) -> np.ndarray:

@@ -31,18 +31,18 @@ def softmax(z) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _check_delta(delta, batched: bool = False) -> np.ndarray:
+def _check_delta(delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
-    if (delta.ndim < 1 if batched else delta.ndim != 1) or delta.shape[-1] < 1:
-        raise ValueError(f"increments must be a 1-d vector, got shape {delta.shape}")
-    if np.any(delta <= 0):
+    if delta.ndim < 1 or delta.shape[-1] < 1:
+        raise ValueError(f"increments must be (..., N) laws with N >= 1, got shape {delta.shape}")
+    if (delta <= 0).any():
         raise ValueError("increments must be strictly positive")
     return delta
 
 
 def _check_unit(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
+    if (x < 0).any() or (x > 1).any():
         raise ValueError(f"{name} outside [0, 1]")
     return x
 
@@ -54,48 +54,47 @@ def bin_indicator(x, n_bins: int):
     return int(k) if np.isscalar(k) or k.ndim == 0 else k
 
 
+def _at(table: np.ndarray, k) -> np.ndarray:
+    """table[..., k] per law: (..., m) tables read at (...) indices, broadcast together."""
+    return table[(*np.indices(table.shape[:-1], sparse=True), k)]
+
+
 def spline_cdf(x, delta):
-    """Evaluate the piecewise-linear CDF at x in [0, 1]."""
+    """Evaluate the piecewise-linear CDF at x in [0, 1] per (..., N) law."""
     delta = _check_delta(delta)
     x = _check_unit(x, "x")
-    n = delta.size
+    n = delta.shape[-1]
     k = bin_indicator(x, n) - 1
-    cum = np.concatenate(([0.0], np.cumsum(delta)))
-    out = cum[k] + (x - k / n) * delta[k] * n
-    out = np.clip(out, 0.0, 1.0)
+    cum = np.concatenate((np.zeros_like(delta[..., :1]), np.cumsum(delta, axis=-1)), axis=-1)
+    out = np.clip(_at(cum, k) + (x - k / n) * _at(delta, k) * n, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def spline_inverse(u, delta):
     """Exact inverse of :func:`spline_cdf` per (..., N) law; boundary ties go to the lower bin."""
-    delta = _check_delta(delta, batched=True)
+    delta = _check_delta(delta)
     u = _check_unit(u, "u")
     n = delta.shape[-1]
     bounds = np.concatenate((np.zeros_like(delta[..., :1]), np.cumsum(delta, axis=-1)), axis=-1)
     bounds[..., -1] = 1.0
     # bounds below u, i.e. searchsorted(bounds, u, side="left") per row
     k = np.clip(np.sum(bounds < u[..., None], axis=-1) - 1, 0, n - 1)
-    at_k, shape = k[..., None], (*k.shape, n)
-    lower = np.take_along_axis(np.broadcast_to(bounds[..., :-1], shape), at_k, -1)[..., 0]
-    width = np.take_along_axis(np.broadcast_to(delta, shape), at_k, -1)[..., 0]
-    interior = np.clip(k / n + (u - lower) / (n * width), 0.0, 1.0)
+    interior = np.clip(k / n + (u - _at(bounds[..., :-1], k)) / (n * _at(delta, k)), 0.0, 1.0)
     out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, interior))
     return float(out) if out.ndim == 0 else out
 
 
 def spline_density(x, delta):
-    """Piecewise-constant density N * delta[bin(x)]."""
+    """Piecewise-constant density N * delta[bin(x)] per (..., N) law."""
     delta = _check_delta(delta)
-    n = delta.size
-    k = bin_indicator(x, n) - 1
-    out = n * delta[k]
+    n = delta.shape[-1]
+    out = n * _at(delta, bin_indicator(x, n) - 1)
     return float(out) if out.ndim == 0 else out
 
 
 def spline_log_density(x, delta):
-    """ln N + ln delta[bin(x)] — the expansion the likelihood terms use."""
+    """ln N + ln delta[bin(x)] per (..., N) law — the expansion the likelihood terms use."""
     delta = _check_delta(delta)
-    n = delta.size
-    k = bin_indicator(x, n) - 1
-    out = np.log(n) + np.log(delta[k])
+    n = delta.shape[-1]
+    out = np.log(n) + np.log(_at(delta, bin_indicator(x, n) - 1))
     return float(out) if out.ndim == 0 else out

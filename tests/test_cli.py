@@ -216,3 +216,29 @@ def test_count_flags_below_minimum_are_usage_errors(tmp_path, series_csv, capsys
     capsys.readouterr()
     assert run(command, *outputs[command], *flags) == 1
     assert f"usage error: {flags[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,loaded",
+    [
+        ("fit", {"level": 2.5}),
+        ("fit", {"bins": "16"}),
+        ("fit", {"bins": 16.0}),
+        ("fit", {"reg_lambda": "x"}),
+        ("fit", {"learning_rate": None}),
+        ("fit", {"max_iters": 3.5}),
+        ("fit", {"patience": 2.5}),
+        ("fit", {"window": True}),
+        ("fit", {"data": 3}),
+        ("simulate", {"n_lags": 300.5}),
+        ("simulate", {"seed": "abc"}),
+        ("simulate", {"whiten": 1}),
+        ("evaluate", {"model": ["model.json"]}),
+    ],
+)
+def test_mistyped_config_values_are_usage_errors(tmp_path, monkeypatch, capsys, command, loaded):
+    monkeypatch.chdir(tmp_path)  # nothing is written, but a missed check would write here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    assert run(command, "--config", cfg) == 1
+    assert f"usage error: config key {next(iter(loaded))!r} must be" in capsys.readouterr().err
