@@ -13,7 +13,11 @@ subprocesses with one BLAS thread:
   stage timed as one ``python -m sigspline`` process;
 * the environment line that ``perfbench/run.py`` prints;
 * ``src_lines``: the line count of each ``src/sigspline/*.py`` and their
-  total, counted as ``wc -l`` counts them.
+  total, counted as ``wc -l`` counts them;
+* ``kernel``: per-call medians of the signature kernel at the protocol sizes,
+  ``signature.extend`` on M = 1 and M = 1024 rows and one-window
+  ``model.log_likelihood``, timed in a subprocess that imports the measured
+  checkout's ``src/``.
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
 checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
@@ -40,6 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "# environment: "
 RUNS = 5  # fixed, like the run length, so that every BENCH file compares with every other
 TRACE_RUNS = 3  # one traced run is too noisy for a per-layer comparison
+KERNEL_REPEATS = 15  # timed repeats per kernel; the record keeps their median and quartiles
+KERNEL_REPEAT_S = 0.02  # target length of one repeat; sets the calls per repeat
+EXTEND_SIZES = ((3, 3), (9, 2))  # (alphabet e = 1 + d, level L): d=2/L=3 and d=8/L=2
+EXTEND_ROWS = (1, 1024)
+LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
 PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
     ("simulate", "simulate_var2.json"),
     ("fit", "fit_var2.json"),
@@ -130,6 +139,53 @@ def record_src_lines(repo: Path) -> dict:
     return {"total": sum(files.values()), "files": files}
 
 
+def _per_call_us(fn) -> dict:
+    """Median and quartiles over KERNEL_REPEATS repeats of the time of one call, in us."""
+    fn()  # warm-up
+    start = time.perf_counter()
+    fn()
+    number = max(1, int(KERNEL_REPEAT_S / max(time.perf_counter() - start, 1e-9)))
+    times = []
+    for _ in range(KERNEL_REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        times.append((time.perf_counter() - start) / number * 1e6)
+    return {**_spread(times), "calls_per_repeat": number}
+
+
+def measure_kernels() -> dict:
+    """Per-call times of the signature kernel of whichever ``sigspline`` is on ``sys.path``."""
+    from sigspline.model import SigSplineModel, log_likelihood
+    from sigspline.signature import extend
+    from sigspline.tensor_algebra import feature_count
+
+    rng = np.random.default_rng(0)
+    out = {}
+    for e, level in EXTEND_SIZES:
+        for rows in EXTEND_ROWS:
+            sig = rng.normal(size=(rows, feature_count(e, level)))
+            inc = rng.normal(size=(rows, e))
+            out[f"signature.extend/e{e}_L{level}_M{rows}"] = _per_call_us(
+                lambda: extend(sig, inc, level))
+    for d, level, bins, window in LOGLIK_SIZES:
+        k = feature_count(1 + d, level)
+        model = SigSplineModel(d, level, bins, [rng.normal(size=(bins, k)) for _ in range(d)],
+                               window)
+        x = rng.random((window + 1, d))
+        out[f"model.log_likelihood/d{d}_L{level}_window{window}"] = _per_call_us(
+            lambda: log_likelihood(model, x))
+    return out
+
+
+def record_kernels(repo: Path) -> dict:
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import record_bench; "
+            "print(json.dumps(record_bench.measure_kernels()))")
+    out = _run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)], repo,
+               _env(repo))[0]
+    return {"unit": "us", **json.loads(out.splitlines()[-1])}
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -149,6 +205,8 @@ def main(argv=None) -> int:
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(
             repo, spec["command"], workload, seconds)
+    print("timing the signature kernel", file=sys.stderr)
+    record["kernel"] = record_kernels(repo)
     print("timing the tier-1 suite", file=sys.stderr)
     record["tier1"] = record_tier1(repo)
     print("timing the configs/ pipeline", file=sys.stderr)

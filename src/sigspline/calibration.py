@@ -128,9 +128,13 @@ def report_to_dict(report: FitReport, include_timing: bool = False) -> dict:
 def build_design(dataset, i, level: int, bins: int, window: int | None = None):
     """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
     list of them if ``i`` is a sequence. Equal-length sequences are featurized
-    CHUNK_ROWS at a time by :func:`~sigspline.model.conditioning_signatures`."""
+    CHUNK_ROWS at a time by :func:`~sigspline.model.conditioning_signatures`, which also
+    rejects non-finite entries."""
     coords = list(i) if np.ndim(i) else [i]
-    arrs = [as_sequence(seq) for seq in dataset]
+    arrs = [np.asarray(seq, dtype=float) for seq in dataset]
+    for arr in arrs:
+        if arr.ndim != 2 or 0 in arr.shape:
+            as_sequence(arr)  # raises its shape error; finiteness is checked per chunk
     lengths = np.array([arr.shape[0] for arr in arrs])
     if lengths.min() < 2:
         raise ValueError(f"sequence {int(np.argmin(lengths))} has fewer than 2 rows")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augmentations import basepoint, mask, time_augment
+from .augmentations import mask
 from .signature import as_paths, as_sequence, extend, signatures
 from .spline import softmax, spline_inverse, spline_log_density
 from .tensor_algebra import feature_count
@@ -143,10 +143,15 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
     The d masked embeddings ``conditioning_embedding(path, i)`` share all but
     their last segment, so by Chen's identity coordinate i's signature is
     ``extend(prefix, masked_increment(ends, i), level)``: one fold per path.
+    The embedding ``basepoint(time_augment(path))`` is written into one array.
     """
-    emb = basepoint(time_augment(path))
-    if emb.shape[-2] < 3:
-        raise ValueError(f"a conditioning path needs at least 2 rows, got {emb.shape[-2] - 1}")
+    arr = as_paths(path)
+    n, d = arr.shape[-2:]
+    if n < 2:
+        raise ValueError(f"a conditioning path needs at least 2 rows, got {n}")
+    emb = np.zeros((*arr.shape[:-2], n + 1, 1 + d))
+    emb[..., 1:, 0] = np.linspace(0.0, 1.0, n)
+    emb[..., 1:, 1:] = arr
     return signatures(emb[..., :-1, :], level), emb[..., -2:, :]
 
 
@@ -158,14 +163,23 @@ def masked_increment(ends, i: int) -> np.ndarray:
     return masked[..., 1, :] - masked[..., 0, :]
 
 
+def masked_increments(ends) -> np.ndarray:
+    """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d): row i - 1 is
+    ``masked_increment(ends, i)``. One lower-triangular reveal mask keeps the time channel
+    and x_<i; a hidden channel's increment is 0.0, the previous row minus itself."""
+    last = ends[..., 1, :] - ends[..., 0, :]
+    d = last.shape[-1] - 1
+    reveal = np.tri(d, d + 1, dtype=bool).reshape(d, *(1,) * (last.ndim - 1), d + 1)
+    return np.where(reveal, last, 0.0)
+
+
 def conditioning_signatures(x, level: int, window: int | None) -> np.ndarray:
     """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows: row i - 1
     is ``signatures(conditioning_embedding(path, i), level)`` of the window's ``conditioning_path``,
     from one prefix fold and one stacked extension by the d masked last segments."""
     arr = as_paths(x)
     prefix, ends = chen_split(conditioning_path(arr[..., :-1, :], arr[..., -1, :], window), level)
-    incs = np.stack([masked_increment(ends, i) for i in range(1, arr.shape[-1] + 1)])
-    return extend(np.broadcast_to(prefix, (*incs.shape[:-1], prefix.shape[-1])), incs, level)
+    return extend(prefix, masked_increments(ends), level)
 
 
 def _split(model: SigSplineModel, history):
