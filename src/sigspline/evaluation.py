@@ -22,40 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SigSplineModel, sample_from_series
-from .signature import as_sequence
+from .signature import as_paths, as_sequence
 
 KURTOSIS_CONVENTION = "raw fourth standardized moment (normal = 3)"
 
 DEFAULT_LAGS = (1, 2)
 
 
-def _pooled_acf(chunks: list[np.ndarray], lag: int) -> float:
-    values = np.concatenate(chunks)
-    mean = values.mean()
-    var = float(((values - mean) ** 2).mean())
-    if var == 0.0:
+def _pooled_acf(values: np.ndarray, ids: np.ndarray, lags) -> np.ndarray:
+    """Autocorrelation (len(lags), c) of each column of stacked (T, c) values. Row t belongs to
+    sequence ``ids[t]``, each sequence's rows contiguous; the mean and lag-0 autocovariance pool
+    all T rows, and a lag pair counts only when both its ends are in one sequence."""
+    centered = values - values.mean(axis=0)
+    var = (centered**2).mean(axis=0)
+    if not var.all():
         raise ValueError("autocorrelation undefined for a constant series")
-    if lag == 0:
-        return 1.0
-    num = 0.0
-    count = 0
-    for chunk in chunks:
-        if chunk.size > lag:
-            centered = chunk - mean
-            num += float(centered[: chunk.size - lag] @ centered[lag:])
-            count += chunk.size - lag
-    if count == 0:
-        raise ValueError(f"no sequence is longer than lag {lag}")
-    return num / count / var
-
-
-def _per_channel(x) -> list[np.ndarray]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return [arr]
-    if arr.ndim == 2:
-        return [arr[:, c] for c in range(arr.shape[1])]
-    raise ValueError(f"expected a 1-d or 2-d array, got shape {arr.shape}")
+    out = np.ones((len(lags), values.shape[1]))
+    for row, lag in zip(out, lags):
+        if lag == 0:
+            continue
+        same = ids[lag:] == ids[:-lag]
+        if not same.any():
+            raise ValueError(f"no sequence is longer than lag {lag}")
+        row[:] = (centered[:-lag] * centered[lag:])[same].sum(axis=0) / same.sum() / var
+    return out
 
 
 def acf(x, lags) -> np.ndarray:
@@ -66,29 +56,30 @@ def acf(x, lags) -> np.ndarray:
     and is normalized by the n-term lag-0 autocovariance, so a perfectly
     alternating series scores exactly -1 at lag 1.
     """
-    channels = _per_channel(x)
-    out = np.array([[_pooled_acf([ch], lag) for ch in channels] for lag in lags])
-    return out[:, 0] if np.asarray(x).ndim == 1 else out
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-d or 2-d array, got shape {arr.shape}")
+    out = _pooled_acf(arr.reshape(len(arr), -1), np.zeros(len(arr), dtype=int), lags)
+    return out[:, 0] if arr.ndim == 1 else out
+
+
+def _standardized_moment(x, power: int, name: str) -> float:
+    arr = np.asarray(x, dtype=float).ravel()
+    centered = arr - arr.mean()
+    var = float((centered**2).mean())
+    if var == 0.0:
+        raise ValueError(f"{name} undefined for a constant series")
+    return float((centered**power).mean() / var ** (power / 2))
 
 
 def skewness(x) -> float:
     """Third standardized moment."""
-    arr = np.asarray(x, dtype=float).ravel()
-    centered = arr - arr.mean()
-    var = float((centered**2).mean())
-    if var == 0.0:
-        raise ValueError("skewness undefined for a constant series")
-    return float((centered**3).mean() / var**1.5)
+    return _standardized_moment(x, 3, "skewness")
 
 
 def kurtosis(x) -> float:
     """Fourth standardized moment, non-excess (normal = 3)."""
-    arr = np.asarray(x, dtype=float).ravel()
-    centered = arr - arr.mean()
-    var = float((centered**2).mean())
-    if var == 0.0:
-        raise ValueError("kurtosis undefined for a constant series")
-    return float((centered**4).mean() / var**2)
+    return _standardized_moment(x, 4, "kurtosis")
 
 
 def cross_correlation(x) -> np.ndarray:
@@ -107,45 +98,36 @@ def abs_return_acf(x, lags) -> np.ndarray:
     return acf(np.abs(np.diff(arr, axis=0)), lags)
 
 
-def _moments(chunks: list[np.ndarray]) -> tuple[float, float]:
-    values = np.concatenate(chunks)
-    return skewness(values), kurtosis(values)
-
-
 def dataset_statistics(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -> dict:
-    """Named statistics of one sequence or a batch of sequences.
+    """Named statistics of one (n, d) sequence, a (B, n, d) batch or a list of sequences.
 
     Levels and returns each contribute per-channel ACF at the given lags,
     skewness, kurtosis, and the cross-correlation matrix.
     """
-    seqs = [as_sequence(data)] if isinstance(data, np.ndarray) and data.ndim == 2 else [
-        as_sequence(s) for s in data
-    ]
-    d = seqs[0].shape[1]
-    if any(s.shape[1] != d for s in seqs):
-        raise ValueError("sequences disagree on channel count")
-    levels = [[s[:, c] for s in seqs] for c in range(d)]
-    returns = [[np.diff(s[:, c]) for s in seqs if s.shape[0] > 1] for c in range(d)]
-    if not returns[0]:
+    if isinstance(data, np.ndarray) and data.ndim in (2, 3):  # validated as one stack
+        batch = as_paths(data).reshape(-1, *data.shape[-2:])
+        levels, lengths = batch.reshape(-1, batch.shape[-1]), [batch.shape[1]] * len(batch)
+    else:
+        seqs = [as_sequence(s) for s in data]
+        if any(s.shape[1] != seqs[0].shape[1] for s in seqs):
+            raise ValueError("sequences disagree on channel count")
+        levels, lengths = np.concatenate(seqs), [len(s) for s in seqs]
+    ids = np.repeat(np.arange(len(lengths)), lengths)
+    within = ids[1:] == ids[:-1]  # row pairs inside one sequence give its returns
+    if not within.any():
         raise ValueError("no sequence has at least 2 rows; returns are undefined")
+    returns, return_ids = np.diff(levels, axis=0)[within], ids[1:][within]
     stats: dict[str, np.ndarray] = {}
-    for name, chunks in (("level", levels), ("return", returns)):
-        for lag in lags:
-            stats[f"{name}_acf_lag{lag}"] = np.array(
-                [_pooled_acf(chunks[c], lag) for c in range(d)]
-            )
-        moments = [_moments(chunks[c]) for c in range(d)]
-        stats[f"{name}_skewness"] = np.array([m[0] for m in moments])
-        stats[f"{name}_kurtosis"] = np.array([m[1] for m in moments])
-    stats["level_cross_correlation"] = cross_correlation(np.vstack(seqs))
-    rows = [np.diff(s, axis=0) for s in seqs if s.shape[0] > 1]
-    stats["return_cross_correlation"] = cross_correlation(np.vstack(rows))
+    for name, values, seq in (("level", levels, ids), ("return", returns, return_ids)):
+        for lag, row in zip(lags, _pooled_acf(values, seq, lags)):
+            stats[f"{name}_acf_lag{lag}"] = row
+        stats[f"{name}_skewness"] = np.array([skewness(col) for col in values.T])
+        stats[f"{name}_kurtosis"] = np.array([kurtosis(col) for col in values.T])
+    stats["level_cross_correlation"] = cross_correlation(levels)
+    stats["return_cross_correlation"] = cross_correlation(returns)
     if include_abs_acf:
-        abs_chunks = [[np.abs(r) for r in returns[c]] for c in range(d)]
-        for lag in lags:
-            stats[f"abs_return_acf_lag{lag}"] = np.array(
-                [_pooled_acf(abs_chunks[c], lag) for c in range(d)]
-            )
+        for lag, row in zip(lags, _pooled_acf(np.abs(returns), return_ids, lags)):
+            stats[f"abs_return_acf_lag{lag}"] = row
     return stats
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augmentations import mask
-from .signature import as_paths, as_sequence, extend, signatures
+from .signature import _fold, as_paths, as_sequence, extend
 from .spline import softmax, spline_inverse, spline_log_density
 from .tensor_algebra import feature_count
 
@@ -123,11 +122,12 @@ def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
     observation last; its coordinates >= i never influence the result.
     """
     params_i = np.asarray(params_i, dtype=float)
-    prefix, ends = chen_split(x, level)
-    sig = extend(prefix, masked_increment(ends, i), level)
-    if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
-        raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
-    return sig @ params_i.T
+    sigs = conditioning_signatures(x, level, None)
+    if not 1 <= i <= len(sigs):
+        raise ValueError(f"coordinate {i} outside [1..{len(sigs)}]")
+    if params_i.ndim != 2 or params_i.shape[1] != sigs.shape[-1]:
+        raise ValueError(f"parameter matrix must be N x {sigs.shape[-1]}, got {params_i.shape}")
+    return sigs[i - 1] @ params_i.T
 
 
 def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
@@ -142,8 +142,8 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
 
     The d masked embeddings ``conditioning_embedding(path, i)`` share all but
     their last segment, so by Chen's identity coordinate i's signature is
-    ``extend(prefix, masked_increment(ends, i), level)``: one fold per path.
-    The embedding ``basepoint(time_augment(path))`` is written into one array.
+    ``extend(prefix, masked_increments(ends)[i - 1], level)``: one fold per path.
+    The embedding ``basepoint(time_augment(path))`` is written into one array and folded unchecked.
     """
     arr = as_paths(path)
     n, d = arr.shape[-2:]
@@ -152,21 +152,13 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
     emb = np.zeros((*arr.shape[:-2], n + 1, 1 + d))
     emb[..., 1:, 0] = np.linspace(0.0, 1.0, n)
     emb[..., 1:, 1:] = arr
-    return signatures(emb[..., :-1, :], level), emb[..., -2:, :]
-
-
-def masked_increment(ends, i: int) -> np.ndarray:
-    """Last segment of coordinate i's conditioning embedding, (..., 2, 1+d) -> (..., 1+d)."""
-    if not 1 <= i < ends.shape[-1]:
-        raise ValueError(f"coordinate {i} outside [1..{ends.shape[-1] - 1}]")
-    masked = mask(ends, i + 1)  # after the time channel, data coordinate i is channel i + 1
-    return masked[..., 1, :] - masked[..., 0, :]
+    return _fold(emb[..., :-1, :], level), emb[..., -2:, :]
 
 
 def masked_increments(ends) -> np.ndarray:
-    """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d): row i - 1 is
-    ``masked_increment(ends, i)``. One lower-triangular reveal mask keeps the time channel
-    and x_<i; a hidden channel's increment is 0.0, the previous row minus itself."""
+    """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d): row i - 1 ends
+    ``conditioning_embedding(path, i)``. One lower-triangular reveal mask keeps the time channel
+    and x_<i; a hidden channel's increment is 0.0, the previous row minus itself, as in ``mask``."""
     last = ends[..., 1, :] - ends[..., 0, :]
     d = last.shape[-1] - 1
     reveal = np.tri(d, d + 1, dtype=bool).reshape(d, *(1,) * (last.ndim - 1), d + 1)
@@ -182,13 +174,13 @@ def conditioning_signatures(x, level: int, window: int | None) -> np.ndarray:
     return extend(prefix, masked_increments(ends), level)
 
 
-def _split(model: SigSplineModel, history):
-    """:func:`chen_split` of the model's conditioning paths; the candidate is the last
-    history row, whose coordinates are masked until a caller writes them."""
+def _conditioning_paths(model: SigSplineModel, history) -> np.ndarray:
+    """The model's :func:`conditioning_path` of each (..., n, d) history; the candidate is
+    the last history row, whose coordinates are masked until a caller writes them."""
     hist = as_paths(history)
     if hist.shape[-1] != model.d:
         raise ValueError(f"history has {hist.shape[-1]} channels, model expects {model.d}")
-    return chen_split(conditioning_path(hist, hist[..., -1, :], model.window), model.level)
+    return conditioning_path(hist, hist[..., -1, :], model.window)
 
 
 def conditional_increments(history, next_partial, i: int, model: SigSplineModel) -> np.ndarray:
@@ -200,9 +192,10 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
     """
     if not 1 <= i <= model.d:
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
-    prefix, ends = _split(model, history)
-    ends[..., -1, 1:i] = np.asarray(next_partial, dtype=float)[..., : i - 1]  # x_{<i}, after time
-    return softmax(extend(prefix, masked_increment(ends, i), model.level) @ model.params[i - 1].T)
+    path = _conditioning_paths(model, history)
+    path[..., -1, : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
+    sig = conditioning_signatures(path, model.level, None)[i - 1]
+    return softmax(sig @ model.params[i - 1].T)
 
 
 def log_likelihood(model: SigSplineModel, x) -> float | np.ndarray:
@@ -221,10 +214,10 @@ def sample_step(model: SigSplineModel, history, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (model.d,):
         raise ValueError(f"u must have {model.d} entries per history, got shape {u.shape}")
-    prefix, ends = _split(model, history)  # one prefix fold per step
+    prefix, ends = chen_split(_conditioning_paths(model, history), model.level)  # one fold per step
     drawn = np.empty((*prefix.shape[:-1], model.d))
     for i in range(1, model.d + 1):
-        sig = extend(prefix, masked_increment(ends, i), model.level)
+        sig = extend(prefix, masked_increments(ends)[i - 1], model.level)
         drawn[..., i - 1] = spline_inverse(u[..., i - 1], softmax(sig @ model.params[i - 1].T))
         ends[..., -1, i] = drawn[..., i - 1]  # reveal x_i in the candidate row, after time
     return drawn

@@ -46,7 +46,11 @@ def signatures(x, level: int) -> np.ndarray:
     extending the identity gives, and folds the rest left to right with
     :func:`extend`, so it equals the per-sample ``tensor_product`` fold bit for bit.
     """
-    arr = as_paths(x)
+    return _fold(as_paths(x), level)
+
+
+def _fold(arr: np.ndarray, level: int) -> np.ndarray:
+    """:func:`signatures` of a (..., n, e) float array that :func:`as_paths` already accepted."""
     paths = arr.reshape(-1, *arr.shape[-2:])
     out = np.zeros((len(paths), feature_count(arr.shape[-1], level)))
     out[:, 0] = 1.0

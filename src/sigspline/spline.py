@@ -35,14 +35,14 @@ def _check_delta(delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.ndim < 1 or delta.shape[-1] < 1:
         raise ValueError(f"increments must be (..., N) laws with N >= 1, got shape {delta.shape}")
-    if (delta <= 0).any():
+    if not (delta > 0).all():  # written so that NaN fails it
         raise ValueError("increments must be strictly positive")
     return delta
 
 
 def _check_unit(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if (x < 0).any() or (x > 1).any():
+    if not ((x >= 0) & (x <= 1)).all():  # written so that NaN fails it
         raise ValueError(f"{name} outside [0, 1]")
     return x
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigspline.model import chen_split, masked_increment, masked_increments
+from sigspline.augmentations import mask
+from sigspline.model import chen_split, masked_increments
 from sigspline.signature import extend, signatures
 from sigspline.tensor_algebra import TruncatedTensor, feature_count, tensor_product, unit_tensor
 
@@ -122,4 +123,5 @@ def test_reveal_mask_increments_equal_masked_increment(seed, d, n):
     got = masked_increments(ends)
     assert got.shape == (d, 3, 2, 1 + d)
     for i in range(1, d + 1):
-        assert identical(got[i - 1], masked_increment(ends, i))
+        masked = mask(ends, i + 1)  # after the time channel, data coordinate i is channel i + 1
+        assert identical(got[i - 1], masked[..., 1, :] - masked[..., 0, :])

@@ -41,6 +41,23 @@ def brute_force_acf(x, lag):
     return num / den
 
 
+def brute_force_pooled(chunks, lag):
+    """Pooled-mean oracle: lag pairs stay inside one sequence, the mean and the
+    lag-0 normalizer run over every value of every sequence."""
+    values = [v for chunk in chunks for v in chunk]
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
+    pairs = [(c[t] - mean) * (c[t + lag] - mean) for c in chunks for t in range(len(c) - lag)]
+    return sum(pairs) / len(pairs) / var
+
+
+def brute_force_moment(chunks, power):
+    values = [v for chunk in chunks for v in chunk]
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
+    return sum((v - mean) ** power for v in values) / len(values) / var ** (power / 2)
+
+
 class TestAcf:
     def test_alternating_series_is_minus_one(self):
         x = np.tile([1.0, -1.0], 50)
@@ -150,6 +167,39 @@ class TestDatasetStatistics:
         # iid uniform batch: lag-1 level ACF near zero, kurtosis near 9/5
         assert np.abs(stats["level_acf_lag1"]).max() <= 0.05
         assert np.allclose(stats["level_kurtosis"], 1.8, atol=0.1)
+
+    def test_ragged_batch_matches_brute_force_pooling(self, rng):
+        seqs = [rng.standard_normal((n, 2)) for n in (1, 2, 3, 7)]
+        stats = dataset_statistics(seqs, lags=(1, 2), include_abs_acf=True)
+        for c in range(2):
+            levels = [s[:, c].tolist() for s in seqs]
+            returns = [np.diff(s[:, c]).tolist() for s in seqs if len(s) > 1]
+            sources = {
+                "level": levels,
+                "return": returns,
+                "abs_return": [[abs(v) for v in r] for r in returns],
+            }
+            for name, chunks in sources.items():
+                for lag in (1, 2):
+                    got = stats[f"{name}_acf_lag{lag}"][c]
+                    assert got == pytest.approx(brute_force_pooled(chunks, lag), abs=1e-12)
+                if name == "abs_return":
+                    continue
+                got = stats[f"{name}_skewness"][c]
+                assert got == pytest.approx(brute_force_moment(chunks, 3), abs=1e-12)
+                got = stats[f"{name}_kurtosis"][c]
+                assert got == pytest.approx(brute_force_moment(chunks, 4), abs=1e-12)
+
+    def test_stacked_batch_equals_its_list(self, rng):
+        batch = rng.random((5, 4, 2))
+        got = dataset_statistics(batch, include_abs_acf=True)
+        want = dataset_statistics(list(batch), include_abs_acf=True)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+
+    def test_lag_longer_than_every_sequence_rejected(self, rng):
+        with pytest.raises(ValueError, match="no sequence is longer than lag 2"):
+            dataset_statistics([rng.random((2, 2)) for _ in range(3)], lags=(2,))
 
 
 class TestComparisons:

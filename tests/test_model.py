@@ -58,6 +58,13 @@ class TestFeatureMap:
             feature_map(x, 2, m.params[1], 2), feature_map(y, 2, m.params[1], 2)
         )
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_coordinate_outside_range_rejected(self, history, rng, i):
+        m = random_model(rng, d=2, level=2, bins=4)
+        x = np.vstack([history, history[-1]])
+        with pytest.raises(ValueError, match="outside"):
+            feature_map(x, i, m.params[0], 2)
+
 
 class TestConditionalIncrements:
     def test_zero_parameters_are_uniform(self, history):
@@ -93,6 +100,12 @@ class TestConditionalIncrements:
         a = conditional_increments(hist, [0.5, 0.5], 1, m)
         b = conditional_increments(other, [0.5, 0.5], 1, m)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_coordinate_outside_range_rejected(self, history, rng, i):
+        m = random_model(rng, d=2, level=2, bins=4)
+        with pytest.raises(ValueError, match="outside"):
+            conditional_increments(history, [0.5, 0.5], i, m)
 
 
 class TestLogLikelihood:

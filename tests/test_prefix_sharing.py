@@ -14,7 +14,7 @@ from sigspline.model import (
     chen_split,
     conditioning_path,
     log_likelihood,
-    masked_increment,
+    masked_increments,
     sample_step,
 )
 from sigspline.signature import extend, signatures
@@ -54,7 +54,7 @@ def test_prefix_plus_extension_equals_the_masked_path_fold(seed, d, level, n, wi
     path = conditioning_path(x[:, :-1], x[:, -1], window)
     prefix, ends = chen_split(path, level)
     for i in range(1, d + 1):
-        got = extend(prefix, masked_increment(ends, i), level)
+        got = extend(prefix, masked_increments(ends)[i - 1], level)
         assert np.array_equal(got, signatures(conditioning_embedding(path, i), level))
 
 

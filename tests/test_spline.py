@@ -150,3 +150,27 @@ class TestSplineDensity:
             expected = np.log(8) + np.log(delta[k])
             assert spline_log_density(x, delta) == expected
             assert math.log(spline_density(x, delta)) == pytest.approx(expected, abs=1e-14)
+
+
+LAW_FUNCTIONS = [spline_cdf, spline_inverse, spline_density, spline_log_density]
+
+
+class TestNanRejected:
+    """NaN fails every range check: as a point and inside the increments."""
+
+    @pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan])])
+    def test_bin_indicator(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            bin_indicator(x, 4)
+
+    @pytest.mark.parametrize("fn", LAW_FUNCTIONS)
+    def test_point(self, fn):
+        with pytest.raises(ValueError, match="outside"):
+            fn(np.nan, DELTA2)
+        with pytest.raises(ValueError, match="outside"):
+            fn(np.array([0.5, np.nan]), np.stack([DELTA2, DELTA2]))
+
+    @pytest.mark.parametrize("fn", LAW_FUNCTIONS)
+    def test_increment(self, fn):
+        with pytest.raises(ValueError, match="strictly positive"):
+            fn(0.5, np.array([0.25, np.nan]))
