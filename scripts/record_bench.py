@@ -15,9 +15,10 @@ subprocesses with one BLAS thread:
 * ``src_lines``: the line count of each ``src/sigspline/*.py`` and their
   total, counted as ``wc -l`` counts them;
 * ``kernel``: per-call medians of the signature kernel at the protocol sizes,
-  ``signature.extend`` on M = 1 and M = 1024 rows and one-window
-  ``model.log_likelihood``, timed in a subprocess that imports the measured
-  checkout's ``src/``.
+  ``signature.extend`` on M = 1 and M = 1024 rows, one-window
+  ``model.log_likelihood``, and one ``model.save_model`` and
+  ``model.load_model`` of a model file at the workloads' fit shapes, timed in
+  a subprocess that imports the measured checkout's ``src/``.
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
 checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
@@ -35,6 +36,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -155,8 +157,9 @@ def _per_call_us(fn) -> dict:
 
 
 def measure_kernels() -> dict:
-    """Per-call times of the signature kernel of whichever ``sigspline`` is on ``sys.path``."""
-    from sigspline.model import SigSplineModel, log_likelihood
+    """Per-call times of the signature kernel and the model file IO of whichever
+    ``sigspline`` is on ``sys.path``."""
+    from sigspline.model import SigSplineModel, load_model, log_likelihood, save_model
     from sigspline.signature import extend
     from sigspline.tensor_algebra import feature_count
 
@@ -168,13 +171,18 @@ def measure_kernels() -> dict:
             inc = rng.normal(size=(rows, e))
             out[f"signature.extend/e{e}_L{level}_M{rows}"] = _per_call_us(
                 lambda: extend(sig, inc, level))
-    for d, level, bins, window in LOGLIK_SIZES:
-        k = feature_count(1 + d, level)
-        model = SigSplineModel(d, level, bins, [rng.normal(size=(bins, k)) for _ in range(d)],
-                               window)
-        x = rng.random((window + 1, d))
-        out[f"model.log_likelihood/d{d}_L{level}_window{window}"] = _per_call_us(
-            lambda: log_likelihood(model, x))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        for d, level, bins, window in LOGLIK_SIZES:
+            k = feature_count(1 + d, level)
+            model = SigSplineModel(d, level, bins,
+                                   [rng.normal(size=(bins, k)) for _ in range(d)], window)
+            x = rng.random((window + 1, d))
+            out[f"model.log_likelihood/d{d}_L{level}_window{window}"] = _per_call_us(
+                lambda: log_likelihood(model, x))
+            shape = f"d{d}_L{level}_N{bins}"
+            out[f"model.save_model/{shape}"] = _per_call_us(lambda: save_model(model, path))
+            out[f"model.load_model/{shape}"] = _per_call_us(lambda: load_model(path))
     return out
 
 
@@ -205,7 +213,7 @@ def main(argv=None) -> int:
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(
             repo, spec["command"], workload, seconds)
-    print("timing the signature kernel", file=sys.stderr)
+    print("timing the signature kernel and model IO", file=sys.stderr)
     record["kernel"] = record_kernels(repo)
     print("timing the tier-1 suite", file=sys.stderr)
     record["tier1"] = record_tier1(repo)

@@ -170,12 +170,7 @@ def cmd_fit(config: dict) -> None:
     start = time.perf_counter()
     result = calibration.multi_seed_fit(dataset, train_cfg, n_seeds=config["n_seeds"])
     elapsed = time.perf_counter() - start
-    best = result.best_model
-    doc = model_mod.model_to_dict(best)
-    doc["config"] = config
-    with open(config["output_model"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    model_mod.save_model(result.best_model, config["output_model"], config)
     report = {
         "config": config,
         "summary": result.summary,

@@ -18,6 +18,7 @@ just inside (0,1).
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,8 @@ from .tensor_algebra import feature_count
 
 CLAMP_EPS = 1e-6
 
-MODEL_FORMAT = "sigspline-model-v1"
+MODEL_FORMAT = "sigspline-model-v2"
+_DOCUMENT_KEYS = ("d", "level", "bins", "window", "scale_min", "scale_max", "coefficients")
 
 
 def parameter_count(d: int, level: int, bins: int) -> int:
@@ -273,6 +275,9 @@ def sliding_windows(x, length: int) -> list[np.ndarray]:
 
 
 def model_to_dict(model: SigSplineModel) -> dict:
+    """The model document; ``coefficients`` is base64 of the little-endian float64
+    (d, bins, K) stack in C order, so the round trip is bit-exact."""
+    stack = np.stack(model.params).astype("<f8")
     return {
         "format": MODEL_FORMAT,
         "d": model.d,
@@ -281,27 +286,48 @@ def model_to_dict(model: SigSplineModel) -> dict:
         "window": model.window,
         "scale_min": None if model.scale_min is None else model.scale_min.tolist(),
         "scale_max": None if model.scale_max is None else model.scale_max.tolist(),
-        "coefficients": [u.tolist() for u in model.params],
+        "coefficients": base64.b64encode(stack.tobytes()).decode("ascii"),
     }
 
 
 def model_from_dict(doc: dict) -> SigSplineModel:
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unrecognized model document format {doc.get('format')!r}")
+        raise ValueError(
+            f"model document format {doc.get('format')!r} is not {MODEL_FORMAT!r}; "
+            "refit the model to write the current format"
+        )
+    missing = [key for key in _DOCUMENT_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"model document lacks {missing}")
+    if not isinstance(doc["coefficients"], str):
+        raise ValueError("model coefficients must be a base64 string")
+    d, level, bins = int(doc["d"]), int(doc["level"]), int(doc["bins"])
+    k = feature_count(1 + d, level)
+    raw = base64.b64decode(doc["coefficients"], validate=True)
+    if len(raw) != 8 * d * bins * k:
+        raise ValueError(
+            f"coefficients hold {len(raw)} bytes, expected {8 * d * bins * k} for d={d}, "
+            f"L={level}, N={bins}"
+        )
+    stack = np.frombuffer(raw, dtype="<f8").reshape(d, bins, k)  # a read-only view of raw
     return SigSplineModel(
-        d=int(doc["d"]),
-        level=int(doc["level"]),
-        bins=int(doc["bins"]),
-        params=[np.asarray(u, dtype=float) for u in doc["coefficients"]],
+        d=d,
+        level=level,
+        bins=bins,
+        params=[u.copy() for u in stack],
         window=None if doc["window"] is None else int(doc["window"]),
         scale_min=None if doc["scale_min"] is None else np.asarray(doc["scale_min"]),
         scale_max=None if doc["scale_max"] is None else np.asarray(doc["scale_max"]),
     )
 
 
-def save_model(model: SigSplineModel, path) -> None:
+def save_model(model: SigSplineModel, path, config: dict | None = None) -> None:
+    """Write the model document, with the resolved ``config`` echoed when given."""
+    doc = model_to_dict(model)
+    if config is not None:
+        doc["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 

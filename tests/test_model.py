@@ -1,6 +1,11 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
+from sigspline.cli import main as cli_main
+from sigspline.dataio import write_series_csv
 from sigspline.model import (
     SigSplineModel,
     conditional_increments,
@@ -240,6 +245,92 @@ class TestPersistence:
         m = random_model(rng, d=1, level=1, bins=3)
         again = model_from_dict(model_to_dict(m))
         assert np.array_equal(again.params[0], m.params[0])
+
+    @pytest.mark.parametrize("d, level, bins", [(2, 3, 16), (8, 2, 64)])
+    def test_extreme_coefficients_round_trip_bitwise(self, tmp_path, rng, d, level, bins):
+        m = random_model(rng, d=d, level=level, bins=bins, window=3)
+        specials = [-0.0, 0.0, 5e-324, -2.2e-308, 1e308, -1e308]
+        m.params[0][0, : len(specials)] = specials
+        m.params[-1][-1, -len(specials) :] = specials
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        loaded = load_model(path)
+        for got, want in zip(loaded.params, m.params, strict=True):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_loaded_params_are_writable(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        save_model(random_model(rng, d=2, level=1, bins=4), path)
+        params = load_model(path).params
+        params[0][0, 0] = 1.0
+        assert params[0][0, 0] == 1.0
+
+    def test_coefficients_are_one_base64_little_endian_stack(self, rng):
+        m = random_model(rng, d=2, level=2, bins=5)
+        raw = base64.b64decode(model_to_dict(m)["coefficients"])
+        stack = np.frombuffer(raw, dtype="<f8").reshape(2, 5, m.n_features)
+        assert np.array_equal(stack, np.stack(m.params))
+
+    def test_save_model_echoes_config_last(self, tmp_path, rng):
+        m = random_model(rng, d=2, level=1, bins=4)
+        path = tmp_path / "model.json"
+        save_model(m, path, config={"bins": 4})
+        want = model_to_dict(m) | {"config": {"bins": 4}}
+        assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+    def test_v1_document_asks_for_a_refit(self, rng):
+        m = random_model(rng, d=2, level=1, bins=4)
+        doc = model_to_dict(m) | {
+            "format": "sigspline-model-v1",
+            "coefficients": [u.tolist() for u in m.params],
+        }
+        with pytest.raises(ValueError, match="sigspline-model-v1.*refit"):
+            model_from_dict(doc)
+
+    def test_missing_key_is_a_value_error(self, rng):
+        doc = model_to_dict(random_model(rng, d=2, level=1, bins=4))
+        del doc["bins"]
+        with pytest.raises(ValueError, match="bins"):
+            model_from_dict(doc)
+
+    def test_list_coefficients_are_a_value_error(self, rng):
+        m = random_model(rng, d=2, level=1, bins=4)
+        doc = model_to_dict(m) | {"coefficients": [u.tolist() for u in m.params]}
+        with pytest.raises(ValueError, match="base64"):
+            model_from_dict(doc)
+
+    def test_truncated_payload_names_both_byte_counts(self, rng):
+        doc = model_to_dict(random_model(rng, d=2, level=1, bins=4))  # 2 * 4 * 4 * 8 = 256 B
+        doc["coefficients"] = base64.b64encode(base64.b64decode(doc["coefficients"])[:-8]).decode()
+        with pytest.raises(ValueError, match="248 bytes, expected 256"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("payload", ["not base64!", "QUJD=", "ünïcode"])
+    def test_invalid_base64_is_a_value_error(self, rng, payload):
+        doc = model_to_dict(random_model(rng, d=2, level=1, bins=4))
+        doc["coefficients"] = payload
+        with pytest.raises(ValueError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble", "v1"])
+    def test_sample_on_a_damaged_model_is_a_data_error(self, tmp_path, rng, capsys, damage):
+        m = random_model(rng, d=2, level=1, bins=4, window=2)
+        doc = model_to_dict(m)
+        if damage == "truncate":
+            doc["coefficients"] = doc["coefficients"][:-12]
+        elif damage == "garble":
+            doc["coefficients"] = "*" + doc["coefficients"][1:]
+        else:
+            doc |= {"format": "sigspline-model-v1",
+                    "coefficients": [u.tolist() for u in m.params]}
+        model_path, data_path = tmp_path / "model.json", tmp_path / "series.csv"
+        model_path.write_text(json.dumps(doc))
+        write_series_csv(data_path, rng.random((20, 2)))
+        code = cli_main(["sample", "--model", str(model_path), "--data", str(data_path),
+                         "--output", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestValidation:
