@@ -16,8 +16,10 @@ subprocesses with one BLAS thread:
   total, counted as ``wc -l`` counts them;
 * ``kernel``: per-call medians of the signature kernel at the protocol sizes,
   ``signature.extend`` on M = 1 and M = 1024 rows, one-window
-  ``model.log_likelihood``, and one ``model.save_model`` and
-  ``model.load_model`` of a model file at the workloads' fit shapes, timed in
+  ``model.log_likelihood``, one ``model.save_model`` and
+  ``model.load_model`` of a model file at the workloads' fit shapes, and one
+  Newton step's ``calibration._hessian_from_design`` and ``np.linalg.solve``
+  at the row-space shapes of the fit_newton_d2 and ``configs/`` fits, timed in
   a subprocess that imports the measured checkout's ``src/``.
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
@@ -51,6 +53,7 @@ KERNEL_REPEAT_S = 0.02  # target length of one repeat; sets the calls per repeat
 EXTEND_SIZES = ((3, 3), (9, 2))  # (alphabet e = 1 + d, level L): d=2/L=3 and d=8/L=2
 EXTEND_ROWS = (1, 1024)
 LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
+NEWTON_LAGS = (1024, 4096)  # VAR(2) series of fit_newton_d2 and configs/: d=2, L=3, N=16, window 2
 PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
     ("simulate", "simulate_var2.json"),
     ("fit", "fit_var2.json"),
@@ -156,9 +159,23 @@ def _per_call_us(fn) -> dict:
     return {**_spread(times), "calls_per_repeat": number}
 
 
+def _newton_design(n_lags: int) -> np.ndarray:
+    """Coordinate 1's training design in its row-space basis, as Newton sees it, for the
+    configs/ VAR(2) series of ``n_lags`` lags fitted at d=2, L=3, N=16, window 2."""
+    from sigspline import calibration, synthetic
+
+    series = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
+    cfg = calibration.TrainConfig(level=3, bins=16, window=2)
+    feats = calibration._prepare(calibration.windows_from_series(series, 2), cfg)[3][0][0]
+    train, _ = calibration._split_indices(len(feats), cfg.train_fraction,
+                                          np.random.default_rng(0))
+    return feats[train] @ calibration._row_space_basis(feats)
+
+
 def measure_kernels() -> dict:
-    """Per-call times of the signature kernel and the model file IO of whichever
-    ``sigspline`` is on ``sys.path``."""
+    """Per-call times of the signature kernel, the model file IO and one Newton step's
+    Hessian and solve of whichever ``sigspline`` is on ``sys.path``."""
+    from sigspline.calibration import _hessian_from_design
     from sigspline.model import SigSplineModel, load_model, log_likelihood, save_model
     from sigspline.signature import extend
     from sigspline.tensor_algebra import feature_count
@@ -183,6 +200,15 @@ def measure_kernels() -> dict:
             shape = f"d{d}_L{level}_N{bins}"
             out[f"model.save_model/{shape}"] = _per_call_us(lambda: save_model(model, path))
             out[f"model.load_model/{shape}"] = _per_call_us(lambda: load_model(path))
+    for n_lags in NEWTON_LAGS:
+        design = _newton_design(n_lags)
+        u = 0.3 * rng.standard_normal((16, design.shape[1]))
+        hess = _hessian_from_design(u, design) + 2e-6 * np.eye(16 * design.shape[1])
+        rhs = rng.standard_normal(len(hess))
+        shape = f"M{design.shape[0]}_N16_r{design.shape[1]}"
+        out[f"calibration._hessian_from_design/{shape}"] = _per_call_us(
+            lambda: _hessian_from_design(u, design))
+        out[f"numpy.linalg.solve/{shape}"] = _per_call_us(lambda: np.linalg.solve(hess, rhs))
     return out
 
 
@@ -213,7 +239,7 @@ def main(argv=None) -> int:
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(
             repo, spec["command"], workload, seconds)
-    print("timing the signature kernel and model IO", file=sys.stderr)
+    print("timing the signature kernel, model IO and Newton step", file=sys.stderr)
     record["kernel"] = record_kernels(repo)
     print("timing the tier-1 suite", file=sys.stderr)
     record["tier1"] = record_tier1(repo)

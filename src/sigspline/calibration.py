@@ -9,7 +9,13 @@ masked conditioning paths: convex, with closed-form gradient
 
 p the softmax probabilities, c the one-hot bin indicator, y the feature
 vector, and Hessian (diag(p) - p p^T) kron (y y^T), positive semidefinite.
-It is assembled as blockdiag(R^T Y) - R^T R from the rows R = p kron y: two GEMMs.
+Its entries are symmetric in the bin pair (a, b) and in the feature pair (k, l),
+so it is assembled from one GEMM over unique pairs only: weights
+p_a (delta_ab - p_b) for a <= b against feature products y_k y_l for k <= l,
+N(N+1)/2 * K(K+1)/2 multiply-adds per sample (about half of a syrk on p kron y),
+then one gather expands the pairs to the dense, exactly symmetric matrix. Each
+chunk of rows is sized so that its weights and products together hold at most
+HESSIAN_CHUNK_ROWS * N * K elements (at least one row).
 Features are computed once up front; every optimizer iteration is then a pure
 linear-algebra pass. Fitting is full-batch gradient descent (or Newton for
 small problems), with early stopping on a held-out split. The designs are
@@ -34,7 +40,7 @@ from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
 HESSIAN_SIZE_LIMIT = 10_000
-HESSIAN_CHUNK_ROWS = 512  # design rows per Hessian product; bounds the (rows, N*cols) weighted copy
+HESSIAN_CHUNK_ROWS = 512  # a Hessian row chunk's weights and products fit in this many N*K rows
 ROW_SPACE_RTOL = 1e-12  # kept singular values, relative to the largest; designs show ~11-order gaps
 MAX_RESTARTS = 5
 
@@ -231,22 +237,36 @@ def _row_space_basis(feats: np.ndarray) -> np.ndarray:
     return vt[: np.count_nonzero(sing > ROW_SPACE_RTOL * sing[0])].T
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a <= b of range(n) as two index arrays, and the (n, n) map from (a, b) to pair."""
+    first, second = np.triu_indices(n)
+    number = np.empty((n, n), dtype=np.intp)
+    number[first, second] = number[second, first] = np.arange(first.size)
+    return first, second, number
+
+
 def _hessian_from_design(u: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    # entry ((a,k),(b,l)) = sum_j p_ja (delta_ab - p_jb) y_jk y_jl / M depends only on the
+    # unordered pairs {a,b} and {k,l}, so only pairs a <= b, k <= l are computed
     n_bins, n_feat = u.shape
-    size = n_bins * n_feat
-    hess = np.zeros((size, size))
-    blocks = np.zeros((size, n_feat))
-    for start in range(0, feats.shape[0], HESSIAN_CHUNK_ROWS):
-        fs = feats[start : start + HESSIAN_CHUNK_ROWS]
-        logits = fs @ u.T
-        expd = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        flat = (probs[:, :, None] * fs[:, None, :]).reshape(fs.shape[0], size)  # rows p_j kron y_j
-        hess -= flat.T @ flat
-        blocks += flat.T @ fs  # row block a: sum_j p_ja y_j y_j^T
-    bins, grid = np.arange(n_bins), hess.reshape(n_bins, n_feat, n_bins, n_feat)  # a view
-    grid[bins, :, bins, :] += blocks.reshape(n_bins, n_feat, n_feat)
-    return hess / feats.shape[0]
+    bin_a, bin_b, bin_pair = _pairs(n_bins)
+    feat_k, feat_l, feat_pair = _pairs(n_feat)
+    same_bin = (bin_a == bin_b).astype(float)[:, None]
+    rows = max(1, HESSIAN_CHUNK_ROWS * n_bins * n_feat // (bin_a.size + feat_k.size))
+    gram = np.zeros((bin_a.size, feat_k.size))
+    for start in range(0, feats.shape[0], rows):
+        ft = np.ascontiguousarray(feats[start : start + rows].T)
+        logits = u @ ft
+        expd = np.exp(logits - logits.max(axis=0))
+        probs = expd / expd.sum(axis=0)
+        weights = np.subtract(same_bin, probs[bin_b])
+        weights *= probs[bin_a]
+        products = ft[feat_k]
+        products *= ft[feat_l]
+        gram += weights @ products.T
+    gram /= feats.shape[0]
+    hess = gram[bin_pair[:, None, :, None], feat_pair[None, :, None, :]]
+    return hess.reshape(n_bins * n_feat, n_bins * n_feat)
 
 
 def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:

@@ -144,7 +144,7 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
 
     The d masked embeddings ``conditioning_embedding(path, i)`` share all but
     their last segment, so by Chen's identity coordinate i's signature is
-    ``extend(prefix, masked_increments(ends)[i - 1], level)``: one fold per path.
+    ``extend(prefix, masked_increments(ends, i), level)``: one fold per path.
     The embedding ``basepoint(time_augment(path))`` is written into one array and folded unchecked.
     """
     arr = as_paths(path)
@@ -157,14 +157,17 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
     return _fold(emb[..., :-1, :], level), emb[..., -2:, :]
 
 
-def masked_increments(ends) -> np.ndarray:
-    """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d): row i - 1 ends
-    ``conditioning_embedding(path, i)``. One lower-triangular reveal mask keeps the time channel
-    and x_<i; a hidden channel's increment is 0.0, the previous row minus itself, as in ``mask``."""
+def masked_increments(ends, i: int | None = None) -> np.ndarray:
+    """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d), or coordinate i's alone,
+    (..., 1+d): row i - 1 ends ``conditioning_embedding(path, i)``. One lower-triangular reveal
+    mask keeps the time channel and x_<i; a hidden channel's increment is 0.0, the previous row
+    minus itself, as in ``mask``."""
     last = ends[..., 1, :] - ends[..., 0, :]
     d = last.shape[-1] - 1
-    reveal = np.tri(d, d + 1, dtype=bool).reshape(d, *(1,) * (last.ndim - 1), d + 1)
-    return np.where(reveal, last, 0.0)
+    if i is not None and not 1 <= i <= d:
+        raise ValueError(f"coordinate {i} outside [1..{d}]")
+    reveal = np.tri(d, d + 1, dtype=bool)[slice(None) if i is None else i - 1]
+    return np.where(reveal.reshape(*reveal.shape[:-1], *(1,) * (last.ndim - 1), d + 1), last, 0.0)
 
 
 def conditioning_signatures(x, level: int, window: int | None) -> np.ndarray:
@@ -219,7 +222,7 @@ def sample_step(model: SigSplineModel, history, u) -> np.ndarray:
     prefix, ends = chen_split(_conditioning_paths(model, history), model.level)  # one fold per step
     drawn = np.empty((*prefix.shape[:-1], model.d))
     for i in range(1, model.d + 1):
-        sig = extend(prefix, masked_increments(ends)[i - 1], model.level)
+        sig = extend(prefix, masked_increments(ends, i), model.level)
         drawn[..., i - 1] = spline_inverse(u[..., i - 1], softmax(sig @ model.params[i - 1].T))
         ends[..., -1, i] = drawn[..., i - 1]  # reveal x_i in the candidate row, after time
     return drawn
@@ -291,6 +294,8 @@ def model_to_dict(model: SigSplineModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> SigSplineModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(
             f"model document format {doc.get('format')!r} is not {MODEL_FORMAT!r}; "
@@ -299,9 +304,19 @@ def model_from_dict(doc: dict) -> SigSplineModel:
     missing = [key for key in _DOCUMENT_KEYS if key not in doc]
     if missing:
         raise ValueError(f"model document lacks {missing}")
+    for key in ("d", "level", "bins", "window"):
+        # type(...) is int also rejects a bool, which JSON would otherwise pass as 0 or 1
+        if type(doc[key]) is not int and not (key == "window" and doc[key] is None):
+            kind = "an integer or null" if key == "window" else "an integer"
+            raise ValueError(f"model {key} must be {kind}, got {doc[key]!r}")
+    for key in ("scale_min", "scale_max"):
+        value = doc[key]
+        if value is not None and not (isinstance(value, list)
+                                      and all(type(v) in (int, float) for v in value)):
+            raise ValueError(f"model {key} must be a list of numbers or null, got {value!r}")
     if not isinstance(doc["coefficients"], str):
         raise ValueError("model coefficients must be a base64 string")
-    d, level, bins = int(doc["d"]), int(doc["level"]), int(doc["bins"])
+    d, level, bins = doc["d"], doc["level"], doc["bins"]
     k = feature_count(1 + d, level)
     raw = base64.b64decode(doc["coefficients"], validate=True)
     if len(raw) != 8 * d * bins * k:
@@ -315,7 +330,7 @@ def model_from_dict(doc: dict) -> SigSplineModel:
         level=level,
         bins=bins,
         params=[u.copy() for u in stack],
-        window=None if doc["window"] is None else int(doc["window"]),
+        window=doc["window"],
         scale_min=None if doc["scale_min"] is None else np.asarray(doc["scale_min"]),
         scale_max=None if doc["scale_max"] is None else np.asarray(doc["scale_max"]),
     )

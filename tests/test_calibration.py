@@ -463,3 +463,60 @@ def test_unregularized_newton_takes_the_minimum_norm_step(rng):
         full = np.linalg.lstsq(hessian(model, seen, i), grad, rcond=None)[0].reshape(4, -1)
         step = first_newton_step(feats, cbin, train, test, cfg)
         assert np.abs(step - full).max() <= 1e-9
+
+
+def kronecker_hessian(model, data, i):
+    """sum_j (diag p_j - p_j p_j^T) kron y_j y_j^T / M, one sample at a time."""
+    feats, _ = build_design(data, i, model.level, model.bins, model.window)
+    size = model.bins * feats.shape[1]
+    expected = np.zeros((size, size))
+    for y in feats:
+        p = softmax(model.params[i - 1] @ y)
+        expected += np.kron(np.diag(p) - np.outer(p, p), np.outer(y, y))
+    return expected / len(feats)
+
+
+@pytest.mark.parametrize("d, level, bins", [
+    (2, 1, 1),  # N = 1: a single bin has no curvature
+    (2, 0, 5),  # K = 1: level 0 keeps only the empty word
+    (1, 1, 6),  # N = 6 > K = 3
+    (2, 2, 3),  # N = 3 < K = 13
+])
+def test_pair_hessian_matches_the_kronecker_definition(d, level, bins, rng):
+    model = random_model(rng, d=d, level=level, bins=bins)
+    data = random_unit_sequences(rng, 40, 3, d)
+    h, expected = hessian(model, data, d), kronecker_hessian(model, data, d)
+    assert np.abs(h - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+    assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("n_seq", [7, 8, 9, 10, 11])
+def test_pair_hessian_covers_every_row_of_a_short_last_chunk(n_seq, rng, monkeypatch):
+    from sigspline import calibration
+
+    # a budget of 5 rows of N*K = 21 elements gives 105 // (6 + 28) = 3 design rows per chunk
+    monkeypatch.setattr(calibration, "HESSIAN_CHUNK_ROWS", 5)
+    model = random_model(rng, d=1, level=2, bins=3)  # N = 3, K = 7
+    data = random_unit_sequences(rng, n_seq, 3, 1)
+    h, expected = hessian(model, data, 1), kronecker_hessian(model, data, 1)
+    assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(h, h.T)
+
+
+def test_pair_hessian_memory_stays_within_the_dense_result_and_one_chunk(rng):
+    import tracemalloc
+
+    from sigspline.calibration import HESSIAN_CHUNK_ROWS
+
+    # K(K+1)/2 = 7381 feature pairs per row against N*K = 968 Hessian columns
+    model = random_model(rng, d=2, level=4, bins=8)
+    data = random_unit_sequences(rng, 400, 3, 2)
+    size = 8 * feature_count(3, 4)
+    tracemalloc.start()
+    try:
+        h = hessian(model, data, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (size, size)
+    assert peak <= 8 * (size * size + HESSIAN_CHUNK_ROWS * size)

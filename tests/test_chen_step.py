@@ -125,3 +125,19 @@ def test_reveal_mask_increments_equal_masked_increment(seed, d, n):
     for i in range(1, d + 1):
         masked = mask(ends, i + 1)  # after the time channel, data coordinate i is channel i + 1
         assert identical(got[i - 1], masked[..., 1, :] - masked[..., 0, :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(2, 4))
+def test_one_coordinate_reveal_row_equals_its_row_of_all(seed, d, n):
+    rng = np.random.default_rng(seed)
+    _, ends = chen_split(with_zeros(rng, (3, 2, n, d)), 1)
+    every = masked_increments(ends)
+    for i in range(1, d + 1):
+        assert identical(masked_increments(ends, i), every[i - 1])
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_reveal_row_outside_the_coordinates_is_rejected(i):
+    with pytest.raises(ValueError, match="outside"):
+        masked_increments(np.zeros((5, 2, 4)), i)  # d = 3

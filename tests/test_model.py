@@ -333,6 +333,30 @@ class TestPersistence:
         assert "data error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value", [
+        (None, None),  # the whole document is a list
+        ("d", [2]), ("d", True), ("level", "1"), ("bins", 4.0), ("bins", True),
+        ("window", [2]), ("window", True), ("scale_min", {"low": 0.0}), ("scale_max", [True, True]),
+    ])
+    def test_sample_on_an_ill_typed_model_is_a_data_error(self, tmp_path, rng, capsys, key, value):
+        m = random_model(rng, d=2, level=1, bins=4, window=2)
+        m.scale_min, m.scale_max = np.zeros(2), np.ones(2)
+        doc = model_to_dict(m)
+        if key is None:
+            doc = [doc]
+        else:
+            doc[key] = value
+        model_path, data_path = tmp_path / "model.json", tmp_path / "series.csv"
+        model_path.write_text(json.dumps(doc))
+        write_series_csv(data_path, rng.random((20, 2)))
+        code = cli_main(["sample", "--model", str(model_path), "--data", str(data_path),
+                         "--output", str(tmp_path / "samples.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert ("JSON object" if key is None else f"model {key} must be") in err
+
+
 class TestValidation:
     def test_wrong_parameter_shape(self):
         with pytest.raises(ValueError):
