@@ -23,6 +23,12 @@ rank-deficient (the time channel makes S(1) = 1, and the shuffle identity ties
 the lower levels to level L), so Newton builds its Hessian and solves in an
 orthonormal basis Q of the design's row space, Y = (Y Q) Q^T, and maps the
 step back; iterates, objective and stopping stay in full coordinates.
+One loop serves both optimizers; only the step direction differs. Each step is
+accepted by backtracking by halves on the regularized training objective
+(damped Newton, Boyd & Vandenberghe 2004, 9.5): the first of the rates lr, lr/2,
+..., lr/2**MAX_RESTARTS (lr = 1 for Newton) whose objective does not rise and
+whose training and validation NLL are finite. Without one the fit stops at its
+best validation iterate, or raises DivergenceError if every trial was non-finite.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .tensor_algebra import feature_count
 HESSIAN_SIZE_LIMIT = 10_000
 HESSIAN_CHUNK_ROWS = 512  # a Hessian row chunk's weights and products fit in this many N*K rows
 ROW_SPACE_RTOL = 1e-12  # kept singular values, relative to the largest; designs show ~11-order gaps
-MAX_RESTARTS = 5
+MAX_RESTARTS = 5  # halvings of one step before its line search gives up
 
 
 class DivergenceError(RuntimeError):
@@ -173,7 +179,7 @@ def _designs(model: SigSplineModel, dataset, i):
 
 def _nll_and_grad(u: np.ndarray, feats: np.ndarray, cbin: np.ndarray, want_grad: bool = True):
     # overflow to inf/nan is expected during divergent steps; the fitting
-    # loop's restart guard consumes it
+    # loop's line search rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         logits = feats @ u.T
         peak = logits.max(axis=1, keepdims=True)
@@ -293,65 +299,60 @@ def _split_indices(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray
 
 
 def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
-    """Optimize one coordinate's matrix; returns (best params, traces, stop)."""
-    n_bins, n_feat = cfg.bins, feats.shape[1]
-    u = np.zeros((n_bins, n_feat))
-    ftr, ctr = feats[train_idx], cbin[train_idx]
-    fte, cte = feats[test_idx], cbin[test_idx]
+    """Optimize one coordinate's matrix with the module's line search; returns (best params,
+    traces, stop). A step is taken only if the gradient norm is at least 1e-13."""
+    ftr, ctr, fte, cte = feats[train_idx], cbin[train_idx], feats[test_idx], cbin[test_idx]
     if cfg.optimizer == "newton":  # Newton's Hessian and solve live in the design's row space
-        _check_hessian_size(n_bins, n_feat)
+        _check_hessian_size(cfg.bins, feats.shape[1])
         basis = _row_space_basis(feats)
-        ftr_basis = ftr @ basis
+        ftr_basis, first_rate = ftr @ basis, 1.0
 
-    # the learning rate, or for Newton the fraction of the full step; restarts halve it
-    rate = 1.0 if cfg.optimizer == "newton" else cfg.learning_rate
-    restarts = 0
-    last_finite, step = u.copy(), np.zeros_like(u)
-    best_test, best_u = np.inf, u.copy()
-    prev_test = np.inf
-    streak = 0
-    train_trace: list[float] = []
-    test_trace: list[float] = []
-
-    it = 0
-    while it < cfg.max_iters:
-        train_nll, grad = _nll_and_grad(u, ftr, ctr)
-        test_nll = _nll_and_grad(u, fte, cte, want_grad=False)[0]
-        if not (np.isfinite(train_nll) and np.isfinite(test_nll)):
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise DivergenceError(
-                    f"objective non-finite at iteration {it} after {MAX_RESTARTS} step halvings"
-                )
-            rate /= 2.0
-            u = last_finite - rate * step  # retry the diverged step, halved
-            continue
-        last_finite = u.copy()
-        train_trace.append(train_nll)
-        test_trace.append(test_nll)
-        if test_nll < best_test:
-            best_test, best_u = test_nll, u.copy()
-        streak = streak + 1 if test_nll > prev_test else 0
-        prev_test = test_nll
-        it += 1
-        if streak >= cfg.patience:
-            break
-        step_grad = grad + _penalty_grad(u, cfg.reg_kind, cfg.reg_lambda)
-        step = step_grad
-        if cfg.optimizer == "newton":
+        def direction(u, grad):
             hess = _hessian_from_design(u @ basis, ftr_basis)
             if cfg.reg_kind == "l2":
                 hess[np.diag_indices_from(hess)] += 2.0 * cfg.reg_lambda
-            rhs = (step_grad @ basis).ravel()
+            rhs = (grad @ basis).ravel()
             try:
                 flat = np.linalg.solve(hess, rhs)
             except np.linalg.LinAlgError:
                 flat = np.linalg.lstsq(hess, rhs, rcond=None)[0]
-            step = flat.reshape(n_bins, -1) @ basis.T
-            step -= step.mean(axis=0)  # shifting all bins' logits alike changes nothing: min norm
-        u = u - rate * step
-        if cfg.optimizer == "newton" and np.linalg.norm(step_grad) < 1e-13:
+            step = flat.reshape(len(u), -1) @ basis.T
+            return step - step.mean(axis=0)  # min norm; a shift common to every bin changes nothing
+    else:
+        direction, first_rate = (lambda u, grad: grad), cfg.learning_rate
+    u = np.zeros((cfg.bins, feats.shape[1]))
+    train_nll, grad = _nll_and_grad(u, ftr, ctr)
+    test_nll, objective = _nll_and_grad(u, fte, cte, want_grad=False)[0], train_nll  # 0 penalty
+    best_test, best_u, streak, train_trace, test_trace = np.inf, u, 0, [], []
+    while True:
+        streak = streak + 1 if test_trace and test_nll > test_trace[-1] else 0
+        if test_nll < best_test:
+            best_test, best_u = test_nll, u
+        train_trace.append(train_nll)
+        test_trace.append(test_nll)
+        step_grad = grad + _penalty_grad(u, cfg.reg_kind, cfg.reg_lambda)
+        with np.errstate(over="ignore"):
+            stationary = np.linalg.norm(step_grad) < 1e-13
+        if len(train_trace) == cfg.max_iters or streak >= cfg.patience or stationary:
             break
+        step, rate, all_non_finite = direction(u, step_grad), first_rate, True
+        for _ in range(MAX_RESTARTS + 1):
+            new_u = u - rate * step
+            new_nll, new_grad = _nll_and_grad(new_u, ftr, ctr)
+            new_obj = new_nll + _penalty(new_u, cfg.reg_kind, cfg.reg_lambda)
+            if new_obj <= objective:  # False for nan; the current objective is finite
+                new_test = _nll_and_grad(new_u, fte, cte, want_grad=False)[0]
+                if np.isfinite(new_test):
+                    break
+            else:
+                all_non_finite &= not np.isfinite(new_obj)
+            rate /= 2.0
+        else:
+            if all_non_finite:
+                raise DivergenceError(f"objective non-finite at iteration {len(train_trace)} "
+                                      f"after {MAX_RESTARTS} step halvings")
+            break
+        u, train_nll, grad, test_nll, objective = new_u, new_nll, new_grad, new_test, new_obj
     return best_u, train_trace, test_trace, len(train_trace)
 
 
@@ -378,16 +379,12 @@ def _fit_from_designs(d, lo, hi, designs, cfg: TrainConfig):
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.rng_seed)
     train_idx, test_idx = _split_indices(designs[0][0].shape[0], cfg.train_fraction, rng)
-    params, train_traces, test_traces, stops = [], [], [], []
+    fits = [_fit_coordinate(feats, cbin, train_idx, test_idx, cfg) for feats, cbin in designs]
+    params, train_traces, test_traces, stops = map(list, zip(*fits))
     final_train = final_test = 0.0
-    for feats, cbin in designs:
-        u, tr, te, stop = _fit_coordinate(feats, cbin, train_idx, test_idx, cfg)
-        params.append(u)
-        train_traces.append(tr)
-        test_traces.append(te)
-        stops.append(stop)
-        final_train += _nll_and_grad(u, feats[train_idx], cbin[train_idx], want_grad=False)[0]
-        final_test += _nll_and_grad(u, feats[test_idx], cbin[test_idx], want_grad=False)[0]
+    for tr, te in zip(train_traces, test_traces):
+        best = int(np.argmin(te))  # the first best validation iterate is the one kept
+        final_train, final_test = final_train + tr[best], final_test + te[best]
     model = SigSplineModel(
         d=d, level=cfg.level, bins=cfg.bins, params=params,
         window=cfg.window, scale_min=lo, scale_max=hi,

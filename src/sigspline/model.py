@@ -124,12 +124,11 @@ def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
     observation last; its coordinates >= i never influence the result.
     """
     params_i = np.asarray(params_i, dtype=float)
-    sigs = conditioning_signatures(x, level, None)
-    if not 1 <= i <= len(sigs):
-        raise ValueError(f"coordinate {i} outside [1..{len(sigs)}]")
-    if params_i.ndim != 2 or params_i.shape[1] != sigs.shape[-1]:
-        raise ValueError(f"parameter matrix must be N x {sigs.shape[-1]}, got {params_i.shape}")
-    return sigs[i - 1] @ params_i.T
+    prefix, ends = chen_split(x, level)  # one fold; only coordinate i's row is extended
+    sig = extend(prefix, masked_increments(ends, i), level)
+    if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
+        raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
+    return sig @ params_i.T
 
 
 def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
@@ -199,7 +198,8 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
     path = _conditioning_paths(model, history)
     path[..., -1, : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
-    sig = conditioning_signatures(path, model.level, None)[i - 1]
+    prefix, ends = chen_split(path, model.level)
+    sig = extend(prefix, masked_increments(ends, i), model.level)
     return softmax(sig @ model.params[i - 1].T)
 
 
@@ -317,7 +317,10 @@ def model_from_dict(doc: dict) -> SigSplineModel:
     if not isinstance(doc["coefficients"], str):
         raise ValueError("model coefficients must be a base64 string")
     d, level, bins = doc["d"], doc["level"], doc["bins"]
-    k = feature_count(1 + d, level)
+    try:
+        k = feature_count(1 + d, level)
+    except OverflowError as exc:  # a well-typed but huge d or level
+        raise ValueError(f"model d={d}, L={level} is too large: {exc}") from None
     raw = base64.b64decode(doc["coefficients"], validate=True)
     if len(raw) != 8 * d * bins * k:
         raise ValueError(

@@ -403,6 +403,47 @@ def test_newton_divergence_recovery_halves_the_newton_step(rng, monkeypatch):
                            for u in (visited[0], visited[2])]
 
 
+def test_gradient_descent_backtracks_instead_of_raising_the_objective(rng):
+    # at lr 5 most full gradient steps on this data raise the training NLL
+    # (15 and 18 of 29 without backtracking); the line search must refuse them
+    data = random_unit_sequences(rng, 40, 3, 2)
+    _, report = fit(data, TrainConfig(level=2, bins=4, learning_rate=5.0, max_iters=30))
+    assert report.stopped_iteration == [30, 30]
+    for trace in report.train_nll:
+        assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_line_search_exhausted_on_finite_trials_stops_at_the_best_iterate(rng):
+    # at lr 100 every trial within MAX_RESTARTS halvings raises the objective
+    # or overflows, and not every one overflows: the fit stops early, without
+    # raising, and keeps its best validation iterate
+    data = random_unit_sequences(rng, 40, 3, 2)
+    cfg = TrainConfig(level=2, bins=4, learning_rate=100.0, max_iters=30)
+    model, report = fit(data, cfg)
+    assert all(stop < cfg.max_iters for stop in report.stopped_iteration)
+    assert report.final_test_nll == sum(min(trace) for trace in report.test_nll)
+    assert all(np.isfinite(u).all() for u in model.params)
+
+
+def test_newton_builds_no_hessian_after_its_last_iterate(rng, monkeypatch):
+    # max_iters iterates are max_iters - 1 steps: one Hessian build and solve each
+    from sigspline import calibration
+
+    real_hessian, calls = calibration._hessian_from_design, []
+
+    def counting_hessian(u, feats):
+        calls.append(len(u))
+        return real_hessian(u, feats)
+
+    monkeypatch.setattr(calibration, "_hessian_from_design", counting_hessian)
+    data = random_unit_sequences(rng, 60, 3, 2)
+    cfg = TrainConfig(level=2, bins=8, optimizer="newton", reg_kind="l2", reg_lambda=1e-6,
+                      max_iters=8)
+    _, report = fit(data, cfg)
+    assert report.stopped_iteration == [8, 8]
+    assert len(calls) == 2 * 7
+
+
 def first_newton_step(feats, cbin, train, test, cfg):
     """The step that _fit_coordinate takes from zero: minus its second iterate
     (the full step, rate 1); cfg.max_iters must be at least 2."""

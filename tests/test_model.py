@@ -356,6 +356,19 @@ class TestPersistence:
         assert "data error" in err
         assert ("JSON object" if key is None else f"model {key} must be") in err
 
+    @pytest.mark.parametrize("key, value", [("level", 100), ("d", 2**70)], ids=["level", "d"])
+    def test_sample_on_an_oversized_model_is_a_data_error(self, tmp_path, rng, capsys, key, value):
+        # feature_count(1 + d, L) would pass 64 bits: the document is rejected before any use
+        doc = model_to_dict(random_model(rng, d=2, level=1, bins=4, window=2)) | {key: value}
+        model_path, data_path = tmp_path / "model.json", tmp_path / "series.csv"
+        model_path.write_text(json.dumps(doc))
+        write_series_csv(data_path, rng.random((20, 2)))
+        code = cli_main(["sample", "--model", str(model_path), "--data", str(data_path),
+                         "--output", str(tmp_path / "samples.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "too large" in err
+
 
 class TestValidation:
     def test_wrong_parameter_shape(self):
