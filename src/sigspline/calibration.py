@@ -33,7 +33,6 @@ best validation iterate, or raises DivergenceError if every trial was non-finite
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,7 +40,7 @@ import numpy as np
 from .model import (
     SigSplineModel, conditioning_signatures, parameter_count, sliding_windows, to_unit,
 )
-from .signature import CHUNK_ROWS, as_sequence
+from .signature import CHUNK_ROWS, as_paths, as_sequence
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
@@ -99,7 +98,7 @@ class TrainConfig:
 
 @dataclass
 class FitReport:
-    """Traces and outcome of one fit; serializable via :func:`report_to_dict`."""
+    """Traces and outcome of one fit; ``dataclasses.asdict`` serializes it."""
 
     seed: int
     n_train: int
@@ -109,7 +108,6 @@ class FitReport:
     stopped_iteration: list[int]
     final_train_nll: float
     final_test_nll: float
-    wall_clock_seconds: float
     config: dict
 
 
@@ -125,40 +123,57 @@ class MultiSeedResult:
         return self.models[self.best_index]
 
 
-def report_to_dict(report: FitReport, include_timing: bool = False) -> dict:
-    # wall clock is excluded by default so written artifacts are run-stable
-    doc = asdict(report)
-    if not include_timing:
-        doc.pop("wall_clock_seconds")
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # designs: parameter-independent features per (sample, coordinate)
 
 
+def _is_stack(dataset) -> bool:
+    return isinstance(dataset, np.ndarray) and dataset.ndim == 3
+
+
+def _stacks(dataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions, (m, n, d) stack) pairs of equal-length sequences covering a dataset, checked
+    by ``as_paths``: an (M, n, d) array is one stack, a list of (n_j, d) sequences is grouped by
+    length, shortest first."""
+    if _is_stack(dataset):
+        groups = [(np.arange(len(dataset)), dataset)] if len(dataset) else []
+    else:
+        arrs = [as_sequence(seq) for seq in dataset]
+        for j, arr in enumerate(arrs):
+            if arr.shape[1] != arrs[0].shape[1]:
+                raise ValueError(f"sequence {j} has {arr.shape[1]} channels, expected "
+                                 f"{arrs[0].shape[1]}")
+        lengths = np.array([len(arr) for arr in arrs])
+        rows = [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
+        groups = [(at, np.stack([arrs[j] for j in at])) for at in rows]
+    if not groups:
+        raise ValueError("empty dataset")
+    return [(at, as_paths(stack)) for at, stack in groups]
+
+
+def _rescaled(dataset, transform):
+    """``transform`` of an (M, n, d) dataset array in one call, or of each sequence of a list."""
+    return transform(dataset) if _is_stack(dataset) else [transform(seq) for seq in dataset]
+
+
 def build_design(dataset, i, level: int, bins: int, window: int | None = None):
     """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
-    list of them if ``i`` is a sequence. Equal-length sequences are featurized
-    CHUNK_ROWS at a time by :func:`~sigspline.model.conditioning_signatures`, which also
-    rejects non-finite entries."""
+    list of them if ``i`` is a sequence. ``dataset`` is an (M, n, d) array or a
+    list of (n_j, d) sequences; each equal-length stack is featurized CHUNK_ROWS
+    rows at a time by :func:`~sigspline.model.conditioning_signatures`."""
     coords = list(i) if np.ndim(i) else [i]
-    arrs = [np.asarray(seq, dtype=float) for seq in dataset]
-    for arr in arrs:
-        if arr.ndim != 2 or 0 in arr.shape:
-            as_sequence(arr)  # raises its shape error; finiteness is checked per chunk
-    lengths = np.array([arr.shape[0] for arr in arrs])
-    if lengths.min() < 2:
-        raise ValueError(f"sequence {int(np.argmin(lengths))} has fewer than 2 rows")
-    d = arrs[0].shape[1]
+    stacks = _stacks(dataset)
+    first, shortest = stacks[0]
+    if shortest.shape[1] < 2:
+        raise ValueError(f"sequence {first[0]} has fewer than 2 rows")
+    d = shortest.shape[2]
     if not set(coords) <= set(range(1, d + 1)):
         raise ValueError(f"coordinates {coords} outside [1..{d}]")
-    k = feature_count(1 + d, level)
-    designs = [(np.empty((len(arrs), k)), np.empty(len(arrs), dtype=int)) for _ in coords]
-    for n in set(lengths.tolist()):
-        group = np.flatnonzero(lengths == n)
-        for rows in np.split(group, range(CHUNK_ROWS, len(group), CHUNK_ROWS)):
-            x = np.stack([arrs[j] for j in rows])
+    m, k = sum(len(at) for at, _ in stacks), feature_count(1 + d, level)
+    designs = [(np.empty((m, k)), np.empty(m, dtype=int)) for _ in coords]
+    for at, stack in stacks:
+        for start in range(0, len(at), CHUNK_ROWS):
+            rows, x = at[start : start + CHUNK_ROWS], stack[start : start + CHUNK_ROWS]
             sigs = conditioning_signatures(x, level, window)
             last_bins = bin_indicator(x[:, -1], bins) - 1
             for c, (feats, cbins) in zip(coords, designs):
@@ -167,9 +182,7 @@ def build_design(dataset, i, level: int, bins: int, window: int | None = None):
 
 
 def _designs(model: SigSplineModel, dataset, i):
-    if not dataset:
-        raise ValueError("empty dataset")
-    unit = [to_unit(model, seq) for seq in dataset]
+    unit = _rescaled(dataset, lambda x: to_unit(model, x))
     return build_design(unit, i, model.level, model.bins, model.window)
 
 
@@ -358,25 +371,18 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
 
 def _prepare(dataset, cfg: TrainConfig):
     """Rescale to [0,1] and precompute per-coordinate designs (seed-free)."""
-    arrs = [as_sequence(seq) for seq in dataset]
-    if not arrs:
-        raise ValueError("empty dataset")
-    d = arrs[0].shape[1]
-    for j, arr in enumerate(arrs):
-        if arr.shape[1] != d:
-            raise ValueError(f"sequence {j} has {arr.shape[1]} channels, expected {d}")
-    stacked = np.vstack(arrs)
-    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    stacks = [stack for _, stack in _stacks(dataset)]
+    lo = np.min([stack.min(axis=(0, 1)) for stack in stacks], axis=0)
+    hi = np.max([stack.max(axis=(0, 1)) for stack in stacks], axis=0)
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
-    unit = [(arr - lo) / (hi - lo) for arr in arrs]
-    designs = build_design(unit, range(1, d + 1), cfg.level, cfg.bins, cfg.window)
-    return d, lo, hi, designs
+    unit = _rescaled(dataset, lambda x: (x - lo) / (hi - lo))
+    designs = build_design(unit, range(1, len(lo) + 1), cfg.level, cfg.bins, cfg.window)
+    return len(lo), lo, hi, designs
 
 
 def _fit_from_designs(d, lo, hi, designs, cfg: TrainConfig):
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.rng_seed)
     train_idx, test_idx = _split_indices(designs[0][0].shape[0], cfg.train_fraction, rng)
     fits = [_fit_coordinate(feats, cbin, train_idx, test_idx, cfg) for feats, cbin in designs]
@@ -398,7 +404,6 @@ def _fit_from_designs(d, lo, hi, designs, cfg: TrainConfig):
         stopped_iteration=stops,
         final_train_nll=final_train,
         final_test_nll=final_test,
-        wall_clock_seconds=time.perf_counter() - start,
         config=asdict(cfg),
     )
     return model, report
@@ -443,8 +448,8 @@ def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeed
     return MultiSeedResult(reports, models, summary, int(np.argmin(test)))
 
 
-def windows_from_series(series, window: int) -> list[np.ndarray]:
-    """Length window+1 training sequences from one long series."""
+def windows_from_series(series, window: int) -> np.ndarray:
+    """The (M, window+1, d) training windows of one long series."""
     arr = as_sequence(series)
     if arr.shape[0] < window + 2:
         raise ValueError(

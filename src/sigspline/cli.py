@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -175,7 +176,7 @@ def cmd_fit(config: dict) -> None:
         "config": config,
         "summary": result.summary,
         "best_seed": result.reports[result.best_index].seed,
-        "per_seed": [calibration.report_to_dict(r) for r in result.reports],
+        "per_seed": [asdict(r) for r in result.reports],
     }
     with open(config["output_report"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

@@ -1,58 +1,54 @@
 """CSV interchange for series and sample batches.
 
-Series files carry a header row ``t,ch1,...,chd`` and one row per step;
-sample batches prepend a ``seq`` column. Values are written with 17
-significant digits so doubles round-trip exactly. Lines starting with '#'
-are comments (used for the resolved-config echo) and are skipped on read.
+Series files carry a header row ``t,ch1,...,chd`` and one row per step of an
+(n, d) array; sample batches of a (B, n, d) array prepend a ``seq`` column.
+Both are written by one table writer, one ``%``-format string per row, with
+17 significant digits so doubles round-trip exactly. Lines starting with '#'
+are comments (used for the resolved-config echo); they and blank lines are
+skipped on read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signature import as_sequence
+from .signature import as_paths, as_sequence
 
 
-def _format_row(fields) -> str:
-    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in fields)
+def _write_table(path, index_names, table, comment) -> None:
+    """Write (rows, index columns + d channels) ``table``; its index columns hold integers."""
+    d = table.shape[1] - len(index_names)
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join([*index_names, *(f"ch{c + 1}" for c in range(d))]) + "\n")
+        row = ",".join(["%d"] * len(index_names) + ["%.17g"] * d) + "\n"
+        fh.write("".join([row % tuple(values) for values in table.tolist()]))
 
 
 def write_series_csv(path, values, comment: str | None = None) -> None:
+    """Write an (n, d) series, one row per step t."""
     arr = as_sequence(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("t," + ",".join(f"ch{c + 1}" for c in range(arr.shape[1])) + "\n")
-        for t, row in enumerate(arr):
-            fh.write(_format_row([t, *map(float, row)]) + "\n")
+    _write_table(path, ["t"], np.column_stack([np.arange(len(arr)), arr]), comment)
 
 
 def write_batch_csv(path, sequences, comment: str | None = None) -> None:
-    seqs = [as_sequence(s) for s in sequences]
-    d = seqs[0].shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("seq,t," + ",".join(f"ch{c + 1}" for c in range(d)) + "\n")
-        for j, seq in enumerate(seqs):
-            for t, row in enumerate(seq):
-                fh.write(_format_row([j, t, *map(float, row)]) + "\n")
+    """Write a (B, n, d) batch, one row per (seq, t)."""
+    arr = as_paths(sequences)
+    if arr.ndim != 3:
+        raise ValueError(f"a sample batch must be a (B, n, d) array, got shape {arr.shape}")
+    seq, t = np.indices(arr.shape[:2]).reshape(2, -1)
+    _write_table(path, ["seq", "t"], np.column_stack([seq, t, arr.reshape(-1, arr.shape[2])]),
+                 comment)
 
 
 def read_series_csv(path) -> np.ndarray:
-    rows = []
+    """The (n, d) values of a series file; the ``t`` column is dropped."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[0] != "t":
-                    raise ValueError(f"{path}: expected header starting with 't', got {header[0]!r}")
-                continue
-            rows.append([float(v) for v in line.split(",")[1:]])
-    if not rows:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    header = lines[0].split(",")[0] if lines else "t"  # an empty file has no header to check
+    if header != "t":
+        raise ValueError(f"{path}: expected header starting with 't', got {header!r}")
+    if len(lines) < 2:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows)
+    return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)[:, 1:]

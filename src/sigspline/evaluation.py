@@ -175,15 +175,13 @@ class EvaluationReport:
     """Seed-aggregated comparison of model samples against real data."""
 
     statistics: dict[str, dict]
-    per_seed: list[MetricReport]
     n_seeds: int
     horizon: int
     batch: int
-    kurtosis_convention: str = KURTOSIS_CONVENTION
 
     def to_dict(self) -> dict:
         return {
-            "kurtosis_convention": self.kurtosis_convention,
+            "kurtosis_convention": KURTOSIS_CONVENTION,
             "n_seeds": self.n_seeds,
             "horizon": self.horizon,
             "batch": self.batch,
@@ -233,7 +231,7 @@ def _aggregate(real_stats: dict, per_seed: list[MetricReport], horizon: int, bat
             "discrepancy_std": float(np.std(discs, ddof=1)) if len(per_seed) > 1 else 0.0,
             "per_seed_discrepancy": [float(v) for v in discs],
         }
-    return EvaluationReport(statistics, per_seed, len(per_seed), horizon, batch)
+    return EvaluationReport(statistics, len(per_seed), horizon, batch)
 
 
 def format_table(reports: dict[str, EvaluationReport] | EvaluationReport) -> str:

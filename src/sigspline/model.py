@@ -9,6 +9,8 @@ piecewise-linear conditional CDF; chaining the d conditionals triangularly
 yields the joint density and an exact inverse-transform sampler.
 
 Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
+A batch of windows is one array: ``sliding_windows`` cuts a series into an
+(M, length, d) stack, and ``SigSplineModel.params`` is one (d, bins, K) array.
 
 Model-facing sequences live in [0,1]^d. The model optionally carries a
 per-channel min/max affine rescaling fitted on training data; ``to_unit`` /
@@ -43,17 +45,17 @@ def parameter_count(d: int, level: int, bins: int) -> int:
 class SigSplineModel:
     """Coordinate-wise spline-CDF parameters plus preprocessing state.
 
-    params[i-1] is the bins x K matrix for coordinate i, with
-    K = feature_count(1+d, level). window limits conditioning to the last
-    ``window`` observations (None = full history). scale_min/scale_max hold
-    the per-channel affine rescaling of raw data onto [0,1]; both None means
-    inputs are already unit-scaled.
+    params is one (d, bins, K) float array, K = feature_count(1+d, level);
+    params[i-1] is coordinate i's writable bins x K matrix. window limits
+    conditioning to the last ``window`` observations (None = full history).
+    scale_min/scale_max hold the per-channel affine rescaling of raw data onto
+    [0,1]; both None means inputs are already unit-scaled.
     """
 
     d: int
     level: int
     bins: int
-    params: list[np.ndarray] = field(repr=False)
+    params: np.ndarray = field(repr=False)
     window: int | None = None
     scale_min: np.ndarray | None = None
     scale_max: np.ndarray | None = None
@@ -64,16 +66,12 @@ class SigSplineModel:
         if self.window is not None and self.window < 1:
             raise ValueError(f"window must be >= 1 or None, got {self.window}")
         k = feature_count(1 + self.d, self.level)
-        params = [np.asarray(u, dtype=float) for u in self.params]
-        if len(params) != self.d:
-            raise ValueError(f"expected {self.d} parameter matrices, got {len(params)}")
-        for i, u in enumerate(params, start=1):
-            if u.shape != (self.bins, k):
-                raise ValueError(
-                    f"coordinate {i} parameters must be {self.bins}x{k}, got {u.shape}"
-                )
-            if not np.all(np.isfinite(u)):
-                raise ValueError(f"coordinate {i} parameters contain non-finite entries")
+        params = np.asarray(self.params, dtype=float)
+        if params.shape != (self.d, self.bins, k):
+            raise ValueError(f"parameters must be {self.d}x{self.bins}x{k}, got {params.shape}")
+        bad = np.flatnonzero(~np.isfinite(params).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"coordinate {bad[0] + 1} parameters contain non-finite entries")
         self.params = params
         if (self.scale_min is None) != (self.scale_max is None):
             raise ValueError("scale_min and scale_max must be set together")
@@ -88,13 +86,12 @@ class SigSplineModel:
         return feature_count(1 + self.d, self.level)
 
     def copy(self) -> "SigSplineModel":
-        return replace(self, params=[u.copy() for u in self.params])
+        return replace(self, params=self.params.copy())
 
 
 def zero_model(d: int, level: int, bins: int, window: int | None = None) -> SigSplineModel:
     """Model with all-zero functionals: every conditional is uniform."""
-    k = feature_count(1 + d, level)
-    return SigSplineModel(d, level, bins, [np.zeros((bins, k)) for _ in range(d)], window)
+    return SigSplineModel(d, level, bins, np.zeros((d, bins, feature_count(1 + d, level))), window)
 
 
 def to_unit(model: SigSplineModel, x) -> np.ndarray:
@@ -256,31 +253,28 @@ def sample_from_series(model: SigSplineModel, series, batch: int, horizon: int, 
     Histories span the model's window (2 rows if None) and are picked from the
     series' sliding windows without replacement; ``rng`` then gives the uniforms.
     """
-    arr = as_sequence(series)
-    if arr.shape[1] != model.d:
-        raise ValueError(f"data has {arr.shape[1]} channels, model expects {model.d}")
-    hist_len = model.window or 2
-    count = arr.shape[0] - hist_len + 1
-    if not 1 <= batch <= count or horizon < 1:
-        raise ValueError(f"need 1 <= batch <= {count} available histories and horizon >= 1, "
+    windows = sliding_windows(series, model.window or 2)
+    if windows.shape[2] != model.d:
+        raise ValueError(f"data has {windows.shape[2]} channels, model expects {model.d}")
+    if not 1 <= batch <= len(windows) or horizon < 1:
+        raise ValueError(f"need 1 <= batch <= {len(windows)} available histories and horizon >= 1, "
                          f"got batch {batch}, horizon {horizon}")
-    picks = rng.choice(count, size=batch, replace=False)
-    histories = to_unit(model, arr[picks[:, None] + np.arange(hist_len)])
-    return from_unit(model, extend_path(model, histories, horizon, rng)[:, hist_len:])
+    histories = to_unit(model, windows[rng.choice(len(windows), size=batch, replace=False)])
+    return from_unit(model, extend_path(model, histories, horizon, rng)[:, windows.shape[1]:])
 
 
-def sliding_windows(x, length: int) -> list[np.ndarray]:
-    """All contiguous windows of ``length`` rows, oldest first."""
+def sliding_windows(x, length: int) -> np.ndarray:
+    """All contiguous windows of ``length`` rows of an (n, d) series, oldest first: an owned
+    (n - length + 1, length, d) array."""
     arr = as_sequence(x)
     if length < 1 or length > arr.shape[0]:
         raise ValueError(f"window length {length} invalid for {arr.shape[0]} rows")
-    return [arr[s : s + length].copy() for s in range(arr.shape[0] - length + 1)]
+    return arr[np.arange(arr.shape[0] - length + 1)[:, None] + np.arange(length)]
 
 
 def model_to_dict(model: SigSplineModel) -> dict:
     """The model document; ``coefficients`` is base64 of the little-endian float64
     (d, bins, K) stack in C order, so the round trip is bit-exact."""
-    stack = np.stack(model.params).astype("<f8")
     return {
         "format": MODEL_FORMAT,
         "d": model.d,
@@ -289,7 +283,7 @@ def model_to_dict(model: SigSplineModel) -> dict:
         "window": model.window,
         "scale_min": None if model.scale_min is None else model.scale_min.tolist(),
         "scale_max": None if model.scale_max is None else model.scale_max.tolist(),
-        "coefficients": base64.b64encode(stack.tobytes()).decode("ascii"),
+        "coefficients": base64.b64encode(np.asarray(model.params, "<f8").tobytes()).decode("ascii"),
     }
 
 
@@ -327,12 +321,11 @@ def model_from_dict(doc: dict) -> SigSplineModel:
             f"coefficients hold {len(raw)} bytes, expected {8 * d * bins * k} for d={d}, "
             f"L={level}, N={bins}"
         )
-    stack = np.frombuffer(raw, dtype="<f8").reshape(d, bins, k)  # a read-only view of raw
     return SigSplineModel(
         d=d,
         level=level,
         bins=bins,
-        params=[u.copy() for u in stack],
+        params=np.frombuffer(raw, dtype="<f8").reshape(d, bins, k).astype(float),  # owned, writable
         window=doc["window"],
         scale_min=None if doc["scale_min"] is None else np.asarray(doc["scale_min"]),
         scale_max=None if doc["scale_max"] is None else np.asarray(doc["scale_max"]),
