@@ -48,6 +48,8 @@ HESSIAN_SIZE_LIMIT = 10_000
 HESSIAN_CHUNK_ROWS = 512  # a Hessian row chunk's weights and products fit in this many N*K rows
 ROW_SPACE_RTOL = 1e-12  # kept singular values, relative to the largest; designs show ~11-order gaps
 MAX_RESTARTS = 5  # halvings of one step before its line search gives up
+REG_KINDS = ("none", "l1", "l2")
+OPTIMIZERS = ("gradient_descent", "newton")
 
 
 class DivergenceError(RuntimeError):
@@ -84,10 +86,10 @@ class TrainConfig:
             raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
         if self.max_iters < 1 or self.patience < 1:
             raise ValueError("max_iters and patience must be >= 1")
-        if self.reg_kind not in ("none", "l1", "l2"):
-            raise ValueError(f"reg_kind must be none|l1|l2, got {self.reg_kind!r}")
-        if self.optimizer not in ("gradient_descent", "newton"):
-            raise ValueError(f"optimizer must be gradient_descent|newton, got {self.optimizer!r}")
+        if self.reg_kind not in REG_KINDS:
+            raise ValueError(f"reg_kind must be {'|'.join(REG_KINDS)}, got {self.reg_kind!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be {'|'.join(OPTIMIZERS)}, got {self.optimizer!r}")
         if self.optimizer == "newton" and self.reg_kind == "l1":
             raise ValueError("newton is not available with the non-smooth l1 penalty")
         if self.level < 0 or self.bins < 1:
@@ -237,8 +239,8 @@ def gradient(model: SigSplineModel, dataset) -> list[np.ndarray]:
 
 def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind: str) -> float:
     """:func:`loss` plus lambda * (l1 norm or squared l2 norm) of all parameters."""
-    if reg_kind not in ("none", "l1", "l2"):
-        raise ValueError(f"reg_kind must be none|l1|l2, got {reg_kind!r}")
+    if reg_kind not in REG_KINDS:
+        raise ValueError(f"reg_kind must be {'|'.join(REG_KINDS)}, got {reg_kind!r}")
     return loss(model, dataset) + sum(_penalty(u, reg_kind, reg_lambda) for u in model.params)
 
 

@@ -1,18 +1,28 @@
 """Command-line pipeline: simulate -> fit -> sample -> evaluate.
 
+Each subcommand's settings are declared once, in ``SETTINGS``, as
+``setting -> (default, help)``. The table builds every flag (``--n-lags`` sets
+``n_lags``; its type is the default's, a bool is a switch, a setting in
+``CHOICES`` takes the owning module's choice list, and ``--help`` shows the
+default), ``DEFAULTS`` and, for ``fit``, the ``TrainConfig``. Fit defaults come
+from ``TrainConfig()`` (except ``window``, 3 here), simulate defaults from
+``synthetic.benchmark_var_spec()``; the VAR matrices are config-file keys only.
+
 Each subcommand reads one JSON config (``--config``); flags override file
-keys and unknown file keys are rejected. The fully resolved config is echoed
-into every artifact the command writes. Exit codes: 0 success, 1 usage
+keys and unknown file keys are rejected. A file value must have its default's
+type and pass the same choice check as the flag. The fully resolved config is
+echoed into every artifact the command writes. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -32,58 +42,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_BENCHMARK_W1 = [[0.1, 0.0], [0.0, 0.2]]
-_BENCHMARK_W2 = [[0.6, 0.0], [0.0, 0.3]]
-_BENCHMARK_SIGMA = [[0.5, 0.0], [0.0, 0.5]]
+_TRAIN = calibration.TrainConfig()
+_VAR = synthetic.benchmark_var_spec()
 
-DEFAULTS = {
+# setting -> (default, help); a help of None makes the setting a config-file key only
+SETTINGS = {
     "simulate": {
-        "n_lags": 4096,
-        "seed": 0,
-        "w1": _BENCHMARK_W1,
-        "w2": _BENCHMARK_W2,
-        "sigma": _BENCHMARK_SIGMA,
-        "map": "identity",
-        "whiten": False,
-        "output": "var2.csv",
+        "n_lags": (_VAR.n_lags, "steps to keep"),
+        "seed": (_VAR.rng_seed, "RNG seed"),
+        "w1": (_VAR.w1.tolist(), None),
+        "w2": (_VAR.w2.tolist(), None),
+        "sigma": (_VAR.sigma.tolist(), None),
+        "map": ("identity", "observation map"),
+        "whiten": (False, "PCA-whiten the output series"),
+        "output": ("var2.csv", "output CSV path"),
     },
     "fit": {
-        "data": None,
-        "level": 2,
-        "bins": 64,
-        "window": 3,
-        "learning_rate": 0.1,
-        "max_iters": 5000,
-        "patience": 32,
-        "reg_kind": "none",
-        "reg_lambda": 0.0,
-        "optimizer": "gradient_descent",
-        "train_fraction": 0.8,
-        "seed": 0,
-        "n_seeds": 10,
-        "output_model": "model.json",
-        "output_report": "fit_report.json",
+        "data": (None, "input series CSV"),
+        "level": (_TRAIN.level, "signature truncation order"),
+        "bins": (_TRAIN.bins, "spline bins N"),
+        "window": (3, "conditioning window r"),
+        "learning_rate": (_TRAIN.learning_rate, "gradient step size"),
+        "max_iters": (_TRAIN.max_iters, "iteration cap"),
+        "patience": (_TRAIN.patience, "early-stopping patience"),
+        "reg_kind": (_TRAIN.reg_kind, "penalty kind"),
+        "reg_lambda": (_TRAIN.reg_lambda, "penalty weight"),
+        "optimizer": (_TRAIN.optimizer, "optimizer"),
+        "train_fraction": (_TRAIN.train_fraction, "train split fraction"),
+        "seed": (_TRAIN.rng_seed, "base split seed"),
+        "n_seeds": (10, "number of calibration seeds"),
+        "output_model": ("model.json", "model JSON path"),
+        "output_report": ("fit_report.json", "report JSON path"),
     },
     "sample": {
-        "model": None,
-        "data": None,
-        "batch": 128,
-        "horizon": 4,
-        "seed": 0,
-        "output": "samples.csv",
+        "model": (None, "fitted model JSON"),
+        "data": (None, "series CSV providing conditioning histories"),
+        "batch": (128, "number of sequences"),
+        "horizon": (4, "steps per sequence"),
+        "seed": (0, "RNG seed"),
+        "output": ("samples.csv", "output CSV path"),
     },
     "evaluate": {
-        "model": None,
-        "data": None,
-        "batch": 512,
-        "horizon": 4,
-        "seeds": 10,
-        "seed": 0,
-        "abs_acf": False,
-        "output_json": "evaluation.json",
-        "output_table": "evaluation.txt",
+        "model": (None, "fitted model JSON; omit for self-evaluation"),
+        "data": (None, "real series CSV"),
+        "batch": (512, "sequences per seed"),
+        "horizon": (4, "steps per sequence"),
+        "seeds": (10, "evaluation seeds"),
+        "seed": (0, "base RNG seed"),
+        "abs_acf": (False, "include absolute-return ACF statistics"),
+        "output_json": ("evaluation.json", "JSON report path"),
+        "output_table": ("evaluation.txt", "text table path"),
     },
 }
+CHOICES = {"map": synthetic.MAPS, "reg_kind": calibration.REG_KINDS,
+           "optimizer": calibration.OPTIMIZERS}
+DEFAULTS = {command: {key: default for key, (default, _) in table.items()}
+            for command, table in SETTINGS.items()}
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -105,9 +119,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool):
                 names = " or ".join(kind.__name__ for kind in kinds)
                 raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
+            if key in CHOICES and value not in CHOICES[key]:
+                raise UsageError(f"config key {key!r} must be {'|'.join(CHOICES[key])}, "
+                                 f"got {value!r}")
         config.update(loaded)
     for key in config:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return config
@@ -130,6 +147,8 @@ def _require_counts(config: dict, **minimums: int) -> None:
 
 
 def cmd_simulate(config: dict) -> None:
+    """Simulate the VAR(2) benchmark series."""
+    _require_counts(config, n_lags=1)
     spec = synthetic.VarSpec(
         w1=np.asarray(config["w1"], dtype=float),
         w2=np.asarray(config["w2"], dtype=float),
@@ -144,26 +163,17 @@ def cmd_simulate(config: dict) -> None:
     print(f"wrote {series.shape[0]} rows x {series.shape[1]} channels to {config['output']}")
 
 
-def _train_config(config: dict, seed: int) -> calibration.TrainConfig:
+def _train_config(config: dict) -> calibration.TrainConfig:
+    names = {field.name for field in fields(calibration.TrainConfig)}
     return calibration.TrainConfig(
-        level=config["level"],
-        bins=config["bins"],
-        window=config["window"],
-        learning_rate=config["learning_rate"],
-        max_iters=config["max_iters"],
-        patience=config["patience"],
-        reg_kind=config["reg_kind"],
-        reg_lambda=config["reg_lambda"],
-        optimizer=config["optimizer"],
-        train_fraction=config["train_fraction"],
-        rng_seed=seed,
-    )
+        rng_seed=config["seed"], **{key: value for key, value in config.items() if key in names})
 
 
 def cmd_fit(config: dict) -> None:
+    """Calibrate a model on a series CSV."""
     _require_counts(config, window=1, n_seeds=1)
     try:
-        train_cfg = _train_config(config, config["seed"])
+        train_cfg = _train_config(config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     series = dataio.read_series_csv(_require(config, "data"))
@@ -189,6 +199,7 @@ def cmd_fit(config: dict) -> None:
 
 
 def cmd_sample(config: dict) -> None:
+    """Sample conditioned paths from a fitted model."""
     _require_counts(config, batch=1, horizon=1)
     fitted = model_mod.load_model(_require(config, "model"))
     series = dataio.read_series_csv(_require(config, "data"))
@@ -199,6 +210,7 @@ def cmd_sample(config: dict) -> None:
 
 
 def cmd_evaluate(config: dict) -> None:
+    """Compare model samples against real data."""
     _require_counts(config, batch=1, horizon=2, seeds=1)  # one-step samples have no returns
     series = dataio.read_series_csv(_require(config, "data"))
     if config["model"] is None:
@@ -224,79 +236,33 @@ def cmd_evaluate(config: dict) -> None:
     print(table, end="")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sigspline", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="simulate the VAR(2) benchmark series")
-    _add_common(sim)
-    sim.add_argument("--n-lags", dest="n_lags", type=int, help="steps to keep (default 4096)")
-    sim.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sim.add_argument("--map", choices=["identity", "fixed_nonlinear"],
-                     help="observation map (default identity)")
-    sim.add_argument("--whiten", action="store_const", const=True, default=None,
-                     help="PCA-whiten the output series")
-    sim.add_argument("--output", help="output CSV path (default var2.csv)")
-
-    fit = subs.add_parser("fit", help="calibrate a model on a series CSV")
-    _add_common(fit)
-    fit.add_argument("--data", help="input series CSV")
-    fit.add_argument("--level", type=int, help="signature truncation order (default 2)")
-    fit.add_argument("--bins", type=int, help="spline bins N (default 64)")
-    fit.add_argument("--window", type=int, help="conditioning window r (default 3)")
-    fit.add_argument("--learning-rate", dest="learning_rate", type=float,
-                     help="gradient step size (default 0.1)")
-    fit.add_argument("--max-iters", dest="max_iters", type=int,
-                     help="iteration cap (default 5000)")
-    fit.add_argument("--patience", type=int, help="early-stopping patience (default 32)")
-    fit.add_argument("--reg-kind", dest="reg_kind", choices=["none", "l1", "l2"],
-                     help="penalty kind (default none)")
-    fit.add_argument("--reg-lambda", dest="reg_lambda", type=float,
-                     help="penalty weight (default 0)")
-    fit.add_argument("--optimizer", choices=["gradient_descent", "newton"],
-                     help="optimizer (default gradient_descent)")
-    fit.add_argument("--train-fraction", dest="train_fraction", type=float,
-                     help="train split fraction (default 0.8)")
-    fit.add_argument("--seed", type=int, help="base split seed (default 0)")
-    fit.add_argument("--n-seeds", dest="n_seeds", type=int,
-                     help="number of calibration seeds (default 10)")
-    fit.add_argument("--output-model", dest="output_model", help="model JSON path")
-    fit.add_argument("--output-report", dest="output_report", help="report JSON path")
-
-    smp = subs.add_parser("sample", help="sample conditioned paths from a fitted model")
-    _add_common(smp)
-    smp.add_argument("--model", help="fitted model JSON")
-    smp.add_argument("--data", help="series CSV providing conditioning histories")
-    smp.add_argument("--batch", type=int, help="number of sequences (default 128)")
-    smp.add_argument("--horizon", type=int, help="steps per sequence (default 4)")
-    smp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    smp.add_argument("--output", help="output CSV path (default samples.csv)")
-
-    ev = subs.add_parser("evaluate", help="compare model samples against real data")
-    _add_common(ev)
-    ev.add_argument("--model", help="fitted model JSON; omit for self-evaluation")
-    ev.add_argument("--data", help="real series CSV")
-    ev.add_argument("--batch", type=int, help="sequences per seed (default 512)")
-    ev.add_argument("--horizon", type=int, help="steps per sequence (default 4)")
-    ev.add_argument("--seeds", type=int, help="evaluation seeds (default 10)")
-    ev.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    ev.add_argument("--abs-acf", dest="abs_acf", action="store_const", const=True,
-                    default=None, help="include absolute-return ACF statistics")
-    ev.add_argument("--output-json", dest="output_json", help="JSON report path")
-    ev.add_argument("--output-table", dest="output_table", help="text table path")
-    return parser
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "fit": cmd_fit,
     "sample": cmd_sample,
     "evaluate": cmd_evaluate,
 }
+
+
+@functools.cache  # every main() call parses with it; the tables never change
+def build_parser() -> _Parser:
+    parser = _Parser(prog="sigspline", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, run in _COMMANDS.items():
+        sub = subs.add_parser(command, help=run.__doc__)
+        sub.add_argument("--config", help="JSON config file; flags override its keys")
+        for key, (default, text) in SETTINGS[command].items():
+            if text is None:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if default is not None:
+                text = f"{text} (default: {default})"
+            if isinstance(default, bool):
+                sub.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                sub.add_argument(flag, type=str if default is None else type(default),
+                                 choices=CHOICES.get(key), help=text)
+    return parser
 
 
 def main(argv=None) -> int:

@@ -78,6 +78,9 @@ class SigSplineModel:
         if self.scale_min is not None:
             self.scale_min = np.asarray(self.scale_min, dtype=float).reshape(self.d)
             self.scale_max = np.asarray(self.scale_max, dtype=float).reshape(self.d)
+            if not np.isfinite([self.scale_min, self.scale_max]).all():
+                raise ValueError(f"scale_min {self.scale_min.tolist()} and scale_max "
+                                 f"{self.scale_max.tolist()} must be finite")
             if np.any(self.scale_max <= self.scale_min):
                 raise ValueError("scale_max must exceed scale_min per channel")
 

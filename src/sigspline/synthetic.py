@@ -36,6 +36,7 @@ _OBSERVE_A = np.array(
     ]
 )
 _OBSERVE_B = np.array([0.0, 0.1, -0.2, 0.3, -0.1, 0.2, -0.3, 0.1])
+MAPS = ("identity", "fixed_nonlinear")
 
 
 def companion_spectral_radius(w1: np.ndarray, w2: np.ndarray) -> float:
@@ -123,15 +124,15 @@ def simulate_var2(spec: VarSpec) -> np.ndarray:
 def observe(latent, map_kind: str) -> np.ndarray:
     """Apply the observation map: 'identity' or the fixed 2->8 'fixed_nonlinear'."""
     arr = as_sequence(latent)
+    if map_kind not in MAPS:
+        raise ValueError(f"map_kind must be {'|'.join(MAPS)}, got {map_kind!r}")
     if map_kind == "identity":
         return arr.copy()
-    if map_kind == "fixed_nonlinear":
-        if arr.shape[1] != _OBSERVE_A.shape[1]:
-            raise ValueError(
-                f"fixed_nonlinear map expects {_OBSERVE_A.shape[1]} channels, got {arr.shape[1]}"
-            )
-        return np.tanh(arr @ _OBSERVE_A.T + _OBSERVE_B)
-    raise ValueError(f"map_kind must be identity|fixed_nonlinear, got {map_kind!r}")
+    if arr.shape[1] != _OBSERVE_A.shape[1]:
+        raise ValueError(
+            f"fixed_nonlinear map expects {_OBSERVE_A.shape[1]} channels, got {arr.shape[1]}"
+        )
+    return np.tanh(arr @ _OBSERVE_A.T + _OBSERVE_B)
 
 
 @dataclass

@@ -4,18 +4,25 @@
 Runs ``simulate -> fit -> sample -> evaluate`` (256 lags, L=1, N=8,
 window 2) with the package importable from ``src/`` of the checkout this
 script sits in, and stores the four artifacts that ``tests/test_golden.py``
-compares against, plus ``SOURCE.json`` naming the commit they came from.
+compares against, plus ``SOURCE.json`` naming the code they came from:
+``commit`` is ``git rev-parse HEAD``, which before a commit is the parent, so
+``src_sha256`` also identifies the sources themselves, committed or not (a
+sha256 over the name and bytes of each ``src/sigspline/*.py``, in sorted
+order).
 
     OPENBLAS_NUM_THREADS=1 python3 tests/golden/capture.py [--output DIR]
 
 Recapture only when a change is meant to alter the pipeline's numbers, and
-say so in CHANGES.md.
+say so in CHANGES.md. To recapture only the fit files, capture into a
+scratch directory (``--output <tmp>``) and copy ``model.json`` and
+``report.json`` from it into ``tests/golden/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -56,6 +63,15 @@ def run_pipeline(workdir: Path, cli_main) -> None:
         os.chdir(cwd)
 
 
+def src_sha256() -> str:
+    """sha256 over the name and bytes of each ``src/sigspline/*.py``, in sorted order."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "sigspline").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--output", default=str(HERE), help="directory for the artifacts")
@@ -78,6 +94,7 @@ def main(argv=None) -> int:
     source = {
         "commit": git("rev-parse", "HEAD"),
         "src_modified": bool(git("status", "--porcelain", "src")),
+        "src_sha256": src_sha256(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
