@@ -18,9 +18,13 @@ subprocesses with one BLAS thread:
   ``signature.extend`` on M = 1 and M = 1024 rows, one-window
   ``model.log_likelihood``, one ``model.save_model`` and
   ``model.load_model`` of a model file at the workloads' fit shapes, and one
-  Newton step's ``calibration._hessian_from_design`` and ``np.linalg.solve``
-  at the row-space shapes of the fit_newton_d2 and ``configs/`` fits, timed in
-  a subprocess that imports the measured checkout's ``src/``.
+  Newton step's ``calibration._hessian_from_design`` (one-shot, and with a
+  warm workspace as the fit calls it) and ``np.linalg.solve`` at the
+  row-space shapes of the fit_newton_d2 and ``configs/`` fits, timed in a
+  subprocess that imports the measured checkout's ``src/``. Each entry also
+  records its minor page faults per call. Two ``machine.*`` entries, a fixed
+  float64 GEMM and a fixed pure-Python loop, probe the machine, so that the
+  records of two sessions can be normalized before they are compared.
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
 checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
@@ -28,6 +32,9 @@ commits, run this script on each checkout, one after the other:
 
     python3 scripts/record_bench.py --pr 6
     python3 scripts/record_bench.py --pr 5 --repo ../parent-checkout
+
+The ``kernel`` block imports private names of ``sigspline.calibration``; a
+checkout that lacks one is measured with its own copy of this script.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -54,6 +62,8 @@ EXTEND_SIZES = ((3, 3), (9, 2))  # (alphabet e = 1 + d, level L): d=2/L=3 and d=
 EXTEND_ROWS = (1, 1024)
 LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
 NEWTON_LAGS = (1024, 4096)  # VAR(2) series of fit_newton_d2 and configs/: d=2, L=3, N=16, window 2
+PROBE_GEMM_N = 256  # the machine probe: an n x n float64 matrix product ...
+PROBE_LOOP = 100_000  # ... and a pure-Python loop of this many iterations
 PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
     ("simulate", "simulate_var2.json"),
     ("fit", "fit_var2.json"),
@@ -144,19 +154,32 @@ def record_src_lines(repo: Path) -> dict:
     return {"total": sum(files.values()), "files": files}
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _per_call_us(fn) -> dict:
-    """Median and quartiles over KERNEL_REPEATS repeats of the time of one call, in us."""
+    """Median and quartiles over KERNEL_REPEATS repeats of the time of one call, in us, and the
+    minor page faults per call over all repeats."""
     fn()  # warm-up
     start = time.perf_counter()
     fn()
     number = max(1, int(KERNEL_REPEAT_S / max(time.perf_counter() - start, 1e-9)))
-    times = []
+    times, faults = [], _minor_faults()
     for _ in range(KERNEL_REPEATS):
         start = time.perf_counter()
         for _ in range(number):
             fn()
         times.append((time.perf_counter() - start) / number * 1e6)
-    return {**_spread(times), "calls_per_repeat": number}
+    faults = (_minor_faults() - faults) / (KERNEL_REPEATS * number)
+    return {**_spread(times), "calls_per_repeat": number, "minflt_per_call": faults}
+
+
+def _python_loop() -> int:
+    total = 0
+    for i in range(PROBE_LOOP):
+        total += i * i
+    return total
 
 
 def _newton_design(n_lags: int) -> np.ndarray:
@@ -173,15 +196,17 @@ def _newton_design(n_lags: int) -> np.ndarray:
 
 
 def measure_kernels() -> dict:
-    """Per-call times of the signature kernel, the model file IO and one Newton step's
-    Hessian and solve of whichever ``sigspline`` is on ``sys.path``."""
-    from sigspline.calibration import _hessian_from_design
+    """Per-call times of the machine probe, the signature kernel, the model file IO and one
+    Newton step's Hessian and solve of whichever ``sigspline`` is on ``sys.path``."""
+    from sigspline.calibration import _hessian_from_design, _HessianWork
     from sigspline.model import SigSplineModel, load_model, log_likelihood, save_model
     from sigspline.signature import extend
     from sigspline.tensor_algebra import feature_count
 
     rng = np.random.default_rng(0)
-    out = {}
+    a, b = rng.standard_normal((2, PROBE_GEMM_N, PROBE_GEMM_N))
+    out = {f"machine.gemm/n{PROBE_GEMM_N}_float64": _per_call_us(lambda: a @ b),
+           f"machine.python_loop/n{PROBE_LOOP}": _per_call_us(_python_loop)}
     for e, level in EXTEND_SIZES:
         for rows in EXTEND_ROWS:
             sig = rng.normal(size=(rows, feature_count(e, level)))
@@ -208,6 +233,9 @@ def measure_kernels() -> dict:
         shape = f"M{design.shape[0]}_N16_r{design.shape[1]}"
         out[f"calibration._hessian_from_design/{shape}"] = _per_call_us(
             lambda: _hessian_from_design(u, design))
+        work = _HessianWork(16, *design.shape)  # warmed by the first call, as in a fit
+        out[f"calibration._hessian_from_design/{shape}_warm_workspace"] = _per_call_us(
+            lambda: _hessian_from_design(u, design, work))
         out[f"numpy.linalg.solve/{shape}"] = _per_call_us(lambda: np.linalg.solve(hess, rhs))
     return out
 

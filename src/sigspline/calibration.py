@@ -15,7 +15,11 @@ p_a (delta_ab - p_b) for a <= b against feature products y_k y_l for k <= l,
 N(N+1)/2 * K(K+1)/2 multiply-adds per sample (about half of a syrk on p kron y),
 then one gather expands the pairs to the dense, exactly symmetric matrix. Each
 chunk of rows is sized so that its weights and products together hold at most
-HESSIAN_CHUNK_ROWS * N * K elements (at least one row).
+HESSIAN_CHUNK_ROWS * N * K elements (at least one row). A Newton coordinate fit
+builds every step's Hessian in one workspace (_HessianWork): the chunk buffers,
+the pair Gram and the dense result, whose memory also takes each chunk's GEMM
+output until the gather. It holds the result, the Gram, one chunk and one bin row
+of the result (1/N of it), and after the first step no call allocates any of them.
 Features are computed once up front; every optimizer iteration is then a pure
 linear-algebra pass. Fitting is full-batch gradient descent (or Newton for
 small problems), with early stopping on a held-out split. The designs are
@@ -38,7 +42,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
-    SigSplineModel, conditioning_signatures, parameter_count, sliding_windows, to_unit,
+    SigSplineModel, _channel_widths, conditioning_signatures, parameter_count, sliding_windows,
+    to_unit,
 )
 from .signature import CHUNK_ROWS, as_paths, as_sequence
 from .spline import bin_indicator
@@ -258,36 +263,86 @@ def _row_space_basis(feats: np.ndarray) -> np.ndarray:
     return vt[: np.count_nonzero(sing > ROW_SPACE_RTOL * sing[0])].T
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs a <= b of range(n) as two index arrays, and the (n, n) map from (a, b) to pair."""
+def _pair_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each a's block of pairs (a, a), (a, a+1), ..., (a, n-1) starts among the pairs a <= b
+    of range(n) in that order (n + 1 offsets), and the (n, n) map from (a, b) to the pair."""
     first, second = np.triu_indices(n)
     number = np.empty((n, n), dtype=np.intp)
     number[first, second] = number[second, first] = np.arange(first.size)
-    return first, second, number
+    return np.append(np.diagonal(number), first.size), number
 
 
-def _hessian_from_design(u: np.ndarray, feats: np.ndarray) -> np.ndarray:
+class _HessianWork:
+    """Buffers for the Hessians of one (M, K) design with N bins, reused by every call that is
+    given them: one chunk's transposed features, logits, pair weights and pair products (flat,
+    viewed at each chunk's row count), the pair Gram, and the dense result with one bin row of
+    its expansion, allocated by the first call. Each call overwrites the result."""
+
+    def __init__(self, n_bins: int, n_rows: int, n_feat: int):
+        self.bin_at = _pair_blocks(n_bins)[0]
+        self.feat_at, self.feat_pair = _pair_blocks(n_feat)
+        n_pairs = (int(self.bin_at[-1]), int(self.feat_at[-1]))
+        self.rows = max(1, HESSIAN_CHUNK_ROWS * n_bins * n_feat // sum(n_pairs))
+        self.sizes = (n_feat, n_bins, *n_pairs)
+        self.chunk = [np.empty(size * min(self.rows, n_rows)) for size in self.sizes]
+        self.gram = np.empty(n_pairs)
+        self.result = self.row = self.product = None
+
+
+def _accumulate_gram(u: np.ndarray, feats: np.ndarray, work: _HessianWork) -> None:
     # entry ((a,k),(b,l)) = sum_j p_ja (delta_ab - p_jb) y_jk y_jl / M depends only on the
     # unordered pairs {a,b} and {k,l}, so only pairs a <= b, k <= l are computed
-    n_bins, n_feat = u.shape
-    bin_a, bin_b, bin_pair = _pairs(n_bins)
-    feat_k, feat_l, feat_pair = _pairs(n_feat)
-    same_bin = (bin_a == bin_b).astype(float)[:, None]
-    rows = max(1, HESSIAN_CHUNK_ROWS * n_bins * n_feat // (bin_a.size + feat_k.size))
-    gram = np.zeros((bin_a.size, feat_k.size))
-    for start in range(0, feats.shape[0], rows):
-        ft = np.ascontiguousarray(feats[start : start + rows].T)
-        logits = u @ ft
-        expd = np.exp(logits - logits.max(axis=0))
-        probs = expd / expd.sum(axis=0)
-        weights = np.subtract(same_bin, probs[bin_b])
-        weights *= probs[bin_a]
-        products = ft[feat_k]
-        products *= ft[feat_l]
-        gram += weights @ products.T
-    gram /= feats.shape[0]
-    hess = gram[bin_pair[:, None, :, None], feat_pair[None, :, None, :]]
-    return hess.reshape(n_bins * n_feat, n_bins * n_feat)
+    bin_at, feat_at = work.bin_at, work.feat_at
+    work.gram.fill(0.0)
+    for start in range(0, feats.shape[0], work.rows):
+        chunk = feats[start : start + work.rows]
+        ft, probs, weights, products = (buf[: size * len(chunk)].reshape(size, len(chunk))
+                                        for buf, size in zip(work.chunk, work.sizes))
+        np.copyto(ft, chunk.T)
+        np.matmul(u, ft, out=probs)
+        probs -= probs.max(axis=0)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=0)
+        for a in range(len(u)):  # block a: p_a (delta_ab - p_b), b = a..N-1
+            block = weights[bin_at[a] : bin_at[a + 1]]
+            np.negative(probs[a:], out=block)
+            block[0] += 1.0
+            block *= probs[a]
+        for k in range(len(ft)):  # block k: y_k y_l, l = k..K-1
+            np.multiply(ft[k:], ft[k], out=products[feat_at[k] : feat_at[k + 1]])
+        work.gram += np.matmul(weights, products.T, out=work.product)
+    work.gram /= feats.shape[0]
+
+
+def _expand_gram(work: _HessianWork) -> np.ndarray:
+    # block (a, b) of the result is Gram row {a, b} through the (K, K) feature pair map
+    n_bins, n_feat = len(work.bin_at) - 1, len(work.feat_pair)
+    if work.result is None:
+        work.result = np.empty((n_bins * n_feat, n_bins * n_feat))
+        work.row = np.empty((n_bins, n_feat, n_feat))
+        # later Gram products go to the result's memory, which is free until this expansion
+        work.product = work.result.reshape(-1)[: work.gram.size].reshape(work.gram.shape)
+    result = work.result.reshape(n_bins, n_feat, n_bins, n_feat)
+    for a in range(n_bins):
+        row = work.row[: n_bins - a]
+        np.take(work.gram[work.bin_at[a] : work.bin_at[a + 1]], work.feat_pair, axis=1, out=row,
+                mode="clip")  # mode="raise" would buffer the output
+        result[a, :, a:] = row.transpose(1, 0, 2)
+        result[a:, :, a] = row
+    return work.result
+
+
+def _hessian_from_design(u: np.ndarray, feats: np.ndarray,
+                         work: _HessianWork | None = None) -> np.ndarray:
+    """The dense (N*K)^2 Hessian, written into ``work.result``. Without ``work``, a workspace is
+    built for this call and its chunk buffers are dropped before the result is allocated."""
+    one_shot = work is None
+    if one_shot:
+        work = _HessianWork(len(u), *feats.shape)
+    _accumulate_gram(u, feats, work)
+    if one_shot:
+        work.chunk = None
+    return _expand_gram(work)
 
 
 def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
@@ -321,9 +376,10 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
         _check_hessian_size(cfg.bins, feats.shape[1])
         basis = _row_space_basis(feats)
         ftr_basis, first_rate = ftr @ basis, 1.0
+        work = _HessianWork(cfg.bins, *ftr_basis.shape)
 
         def direction(u, grad):
-            hess = _hessian_from_design(u @ basis, ftr_basis)
+            hess = _hessian_from_design(u @ basis, ftr_basis, work)
             if cfg.reg_kind == "l2":
                 hess[np.diag_indices_from(hess)] += 2.0 * cfg.reg_lambda
             rhs = (grad @ basis).ravel()
@@ -379,7 +435,8 @@ def _prepare(dataset, cfg: TrainConfig):
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
-    unit = _rescaled(dataset, lambda x: (x - lo) / (hi - lo))
+    width = _channel_widths(lo, hi)
+    unit = _rescaled(dataset, lambda x: (x - lo) / width)
     designs = build_design(unit, range(1, len(lo) + 1), cfg.level, cfg.bins, cfg.window)
     return len(lo), lo, hi, designs
 

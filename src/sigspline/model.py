@@ -83,6 +83,7 @@ class SigSplineModel:
                                  f"{self.scale_max.tolist()} must be finite")
             if np.any(self.scale_max <= self.scale_min):
                 raise ValueError("scale_max must exceed scale_min per channel")
+            _channel_widths(self.scale_min, self.scale_max)
 
     @property
     def n_features(self) -> int:
@@ -90,6 +91,18 @@ class SigSplineModel:
 
     def copy(self) -> "SigSplineModel":
         return replace(self, params=self.params.copy())
+
+
+def _channel_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """hi - lo per channel; a ValueError names the first channel whose width overflows float64."""
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = np.flatnonzero(np.isinf(width))
+    if wide.size:
+        c = wide[0]
+        raise ValueError(f"channel {c + 1} spans [{lo[c]:g}, {hi[c]:g}]; its width overflows "
+                         "float64")
+    return width
 
 
 def zero_model(d: int, level: int, bins: int, window: int | None = None) -> SigSplineModel:

@@ -431,9 +431,9 @@ def test_newton_builds_no_hessian_after_its_last_iterate(rng, monkeypatch):
 
     real_hessian, calls = calibration._hessian_from_design, []
 
-    def counting_hessian(u, feats):
+    def counting_hessian(u, feats, work):
         calls.append(len(u))
-        return real_hessian(u, feats)
+        return real_hessian(u, feats, work)
 
     monkeypatch.setattr(calibration, "_hessian_from_design", counting_hessian)
     data = random_unit_sequences(rng, 60, 3, 2)
@@ -561,3 +561,53 @@ def test_pair_hessian_memory_stays_within_the_dense_result_and_one_chunk(rng):
         tracemalloc.stop()
     assert h.shape == (size, size)
     assert peak <= 8 * (size * size + HESSIAN_CHUNK_ROWS * size)
+
+
+@pytest.mark.parametrize("d, level, bins", [(2, 1, 1), (2, 0, 5), (1, 1, 6), (2, 2, 3)])
+def test_reused_workspace_gives_the_one_shot_hessian_bitwise(d, level, bins, rng):
+    from sigspline.calibration import _HessianWork, _hessian_from_design
+
+    feats, _ = build_design(random_unit_sequences(rng, 40, 3, d), d, level, bins)
+    work = _HessianWork(bins, *feats.shape)
+    for _ in range(2):  # the second call overwrites the first call's result in place
+        u = random_model(rng, d=d, level=level, bins=bins).params[d - 1]
+        h = _hessian_from_design(u, feats, work)
+        assert h is work.result
+        assert h.tobytes() == _hessian_from_design(u, feats).tobytes()
+
+
+@pytest.mark.parametrize("n_seq", [7, 8, 9])
+def test_reused_workspace_covers_a_short_last_chunk_bitwise(n_seq, rng, monkeypatch):
+    from sigspline import calibration
+
+    monkeypatch.setattr(calibration, "HESSIAN_CHUNK_ROWS", 5)  # 3 design rows per chunk
+    feats, _ = build_design(random_unit_sequences(rng, n_seq, 3, 1), 1, 2, 3)
+    work = calibration._HessianWork(3, *feats.shape)
+    for _ in range(2):
+        u = random_model(rng, d=1, level=2, bins=3).params[0]
+        h = calibration._hessian_from_design(u, feats, work)
+        assert h is work.result
+        assert h.tobytes() == calibration._hessian_from_design(u, feats).tobytes()
+        assert np.array_equal(h, h.T)
+
+
+def test_warm_workspace_allocates_less_than_one_chunk(rng, monkeypatch):
+    import tracemalloc
+
+    from sigspline import calibration
+
+    # a budget of 64 rows of N*K = 320 elements gives 20480 // (36 + 820) = 23 design rows per
+    # chunk; the chunk buffers, the pair Gram (29520) and the result (320^2) each exceed it
+    monkeypatch.setattr(calibration, "HESSIAN_CHUNK_ROWS", 64)
+    feats, _ = build_design(random_unit_sequences(rng, 400, 3, 2), 1, 3, 8)
+    u = random_model(rng, d=2, level=3, bins=8).params[0]  # N = 8, K = 40
+    work = calibration._HessianWork(8, *feats.shape)
+    first = calibration._hessian_from_design(u, feats, work).copy()
+    tracemalloc.start()
+    try:
+        second = calibration._hessian_from_design(u, feats, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert work.rows == 23 and np.array_equal(first, second)
+    assert peak < 8 * 64 * 8 * feats.shape[1]

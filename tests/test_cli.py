@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestExitCodes:
 
     def test_invalid_config_value_is_usage_error(self, tmp_path, series_csv):
         assert run("fit", "--data", series_csv, "--learning-rate", "-1") == 1
+
+    def test_range_whose_width_overflows_is_a_named_data_error(self, tmp_path, rng, capsys):
+        path = tmp_path / "wide.csv"
+        series = rng.random((40, 2))
+        series[3, 1], series[7, 1] = 1e308, -1e308  # finite, but 2e308 is not
+        write_series_csv(path, series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--data", path, "--window", 2, "--output-model",
+                       tmp_path / "model.json", "--output-report", tmp_path / "report.json")
+        assert code == 2
+        assert ("data error: channel 2 spans [-1e+308, 1e+308]; its width overflows float64"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(

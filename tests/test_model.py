@@ -223,6 +223,12 @@ class TestScaling:
         raw = rng.random((5, 2))
         assert np.array_equal(to_unit(m, raw), raw)
 
+    def test_range_whose_width_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match=r"channel 2 spans \[-1e\+308, 1e\+308\]; its width "
+                                             "overflows float64"):
+            SigSplineModel(2, 1, 4, np.zeros((2, 4, 4)), scale_min=np.array([0.0, -1e308]),
+                           scale_max=np.array([1.0, 1e308]))
+
 
 class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path, rng):
