@@ -16,7 +16,10 @@ subprocesses with one BLAS thread:
   total, counted as ``wc -l`` counts them;
 * ``kernel``: per-call medians of the signature kernel at the protocol sizes,
   ``signature.extend`` on M = 1 and M = 1024 rows, one-window
-  ``model.log_likelihood``, one ``model.save_model`` and
+  ``model.log_likelihood``, one ``model.sample_step`` over a batch of
+  histories at sample_score_d2's shape (the sampler alone, without the CSV
+  and model file IO that perfbench's ``sample_steps_per_s`` includes), one
+  ``model.save_model`` and
   ``model.load_model`` of a model file at the workloads' fit shapes, and one
   Newton step's ``calibration._hessian_from_design`` (one-shot, and with a
   warm workspace as the fit calls it) and ``np.linalg.solve`` at the
@@ -61,6 +64,7 @@ KERNEL_REPEAT_S = 0.02  # target length of one repeat; sets the calls per repeat
 EXTEND_SIZES = ((3, 3), (9, 2))  # (alphabet e = 1 + d, level L): d=2/L=3 and d=8/L=2
 EXTEND_ROWS = (1, 1024)
 LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
+SAMPLE_STEP_SIZE = (2, 3, 16, 2, 256)  # (d, level, bins, window, batch) of sample_score_d2
 NEWTON_LAGS = (1024, 4096)  # VAR(2) series of fit_newton_d2 and configs/: d=2, L=3, N=16, window 2
 PROBE_GEMM_N = 256  # the machine probe: an n x n float64 matrix product ...
 PROBE_LOOP = 100_000  # ... and a pure-Python loop of this many iterations
@@ -199,7 +203,7 @@ def measure_kernels() -> dict:
     """Per-call times of the machine probe, the signature kernel, the model file IO and one
     Newton step's Hessian and solve of whichever ``sigspline`` is on ``sys.path``."""
     from sigspline.calibration import _hessian_from_design, _HessianWork
-    from sigspline.model import SigSplineModel, load_model, log_likelihood, save_model
+    from sigspline.model import SigSplineModel, load_model, log_likelihood, sample_step, save_model
     from sigspline.signature import extend
     from sigspline.tensor_algebra import feature_count
 
@@ -225,6 +229,13 @@ def measure_kernels() -> dict:
             shape = f"d{d}_L{level}_N{bins}"
             out[f"model.save_model/{shape}"] = _per_call_us(lambda: save_model(model, path))
             out[f"model.load_model/{shape}"] = _per_call_us(lambda: load_model(path))
+    d, level, bins, window, batch = SAMPLE_STEP_SIZE
+    model = SigSplineModel(d, level, bins,
+                           [rng.normal(size=(bins, feature_count(1 + d, level))) for _ in range(d)],
+                           window)
+    history, u = rng.random((batch, window, d)), rng.random((batch, d))
+    out[f"model.sample_step/d{d}_L{level}_N{bins}_window{window}_B{batch}"] = _per_call_us(
+        lambda: sample_step(model, history, u))
     for n_lags in NEWTON_LAGS:
         design = _newton_design(n_lags)
         u = 0.3 * rng.standard_normal((16, design.shape[1]))

@@ -15,8 +15,8 @@ p_a (delta_ab - p_b) for a <= b against feature products y_k y_l for k <= l,
 N(N+1)/2 * K(K+1)/2 multiply-adds per sample (about half of a syrk on p kron y),
 then one gather expands the pairs to the dense, exactly symmetric matrix. Each
 chunk of rows is sized so that its weights and products together hold at most
-HESSIAN_CHUNK_ROWS * N * K elements (at least one row). A Newton coordinate fit
-builds every step's Hessian in one workspace (_HessianWork): the chunk buffers,
+HESSIAN_CHUNK_ROWS * N * K elements (at least one row). A coordinate's Newton
+steps build their Hessians in one workspace (_HessianWork): the chunk buffers,
 the pair Gram and the dense result, whose memory also takes each chunk's GEMM
 output until the gather. It holds the result, the Gram, one chunk and one bin row
 of the result (1/N of it), and after the first step no call allocates any of them.
@@ -26,7 +26,9 @@ small problems), with early stopping on a held-out split. The designs are
 rank-deficient (the time channel makes S(1) = 1, and the shuffle identity ties
 the lower levels to level L), so Newton builds its Hessian and solves in an
 orthonormal basis Q of the design's row space, Y = (Y Q) Q^T, and maps the
-step back; iterates, objective and stopping stay in full coordinates.
+step back; iterates, objective and stopping stay in full coordinates. A seed
+changes only the split, so multi_seed_fit (fit is its one-seed case) fits
+coordinates outer, seeds inner: a coordinate's basis and workspace serve every seed.
 One loop serves both optimizers; only the step direction differs. Each step is
 accepted by backtracking by halves on the regularized training objective
 (damped Newton, Boyd & Vandenberghe 2004, 9.5): the first of the rates lr, lr/2,
@@ -37,7 +39,7 @@ best validation iterate, or raises DivergenceError if every trial was non-finite
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -368,15 +370,14 @@ def _split_indices(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
+def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig, newton=None):
     """Optimize one coordinate's matrix with the module's line search; returns (best params,
-    traces, stop). A step is taken only if the gradient norm is at least 1e-13."""
+    traces, stop). Newton takes ``newton`` = (row-space basis, _HessianWork) from its caller.
+    A step is taken only if the gradient norm is at least 1e-13."""
     ftr, ctr, fte, cte = feats[train_idx], cbin[train_idx], feats[test_idx], cbin[test_idx]
     if cfg.optimizer == "newton":  # Newton's Hessian and solve live in the design's row space
-        _check_hessian_size(cfg.bins, feats.shape[1])
-        basis = _row_space_basis(feats)
+        basis, work = newton
         ftr_basis, first_rate = ftr @ basis, 1.0
-        work = _HessianWork(cfg.bins, *ftr_basis.shape)
 
         def direction(u, grad):
             hess = _hessian_from_design(u @ basis, ftr_basis, work)
@@ -428,7 +429,7 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig):
 
 
 def _prepare(dataset, cfg: TrainConfig):
-    """Rescale to [0,1] and precompute per-coordinate designs (seed-free)."""
+    """Check Newton's Hessian size, rescale to [0,1], and precompute per-coordinate designs."""
     stacks = [stack for _, stack in _stacks(dataset)]
     lo = np.min([stack.min(axis=(0, 1)) for stack in stacks], axis=0)
     hi = np.max([stack.max(axis=(0, 1)) for stack in stacks], axis=0)
@@ -436,64 +437,57 @@ def _prepare(dataset, cfg: TrainConfig):
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
     width = _channel_widths(lo, hi)
+    if cfg.optimizer == "newton":
+        _check_hessian_size(cfg.bins, feature_count(1 + len(lo), cfg.level))
     unit = _rescaled(dataset, lambda x: (x - lo) / width)
     designs = build_design(unit, range(1, len(lo) + 1), cfg.level, cfg.bins, cfg.window)
     return len(lo), lo, hi, designs
 
 
-def _fit_from_designs(d, lo, hi, designs, cfg: TrainConfig):
-    rng = np.random.default_rng(cfg.rng_seed)
-    train_idx, test_idx = _split_indices(designs[0][0].shape[0], cfg.train_fraction, rng)
-    fits = [_fit_coordinate(feats, cbin, train_idx, test_idx, cfg) for feats, cbin in designs]
-    params, train_traces, test_traces, stops = map(list, zip(*fits))
-    final_train = final_test = 0.0
-    for tr, te in zip(train_traces, test_traces):
-        best = int(np.argmin(te))  # the first best validation iterate is the one kept
-        final_train, final_test = final_train + tr[best], final_test + te[best]
-    model = SigSplineModel(
-        d=d, level=cfg.level, bins=cfg.bins, params=params,
-        window=cfg.window, scale_min=lo, scale_max=hi,
-    )
-    report = FitReport(
-        seed=cfg.rng_seed,
-        n_train=len(train_idx),
-        n_test=len(test_idx),
-        train_nll=train_traces,
-        test_nll=test_traces,
-        stopped_iteration=stops,
-        final_train_nll=final_train,
-        final_test_nll=final_test,
-        config=asdict(cfg),
-    )
-    return model, report
-
-
 def fit(dataset, config: TrainConfig):
-    """Calibrate a model on raw sequences; returns (model, report).
+    """Calibrate a model on raw sequences: the one-seed :func:`multi_seed_fit`'s (model, report).
 
     Each coordinate is fitted independently from zero initialization, with
     early stopping once the held-out NLL worsens ``patience`` times in a row;
     the best held-out iterate is kept. Deterministic given config.rng_seed.
     """
-    d, lo, hi, designs = _prepare(dataset, config)
-    return _fit_from_designs(d, lo, hi, designs, config)
+    result = multi_seed_fit(dataset, config, n_seeds=1)
+    return result.models[0], result.reports[0]
 
 
 def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeedResult:
-    """Repeat :func:`fit` with seeds rng_seed..rng_seed+n_seeds-1.
+    """Calibrate with seeds rng_seed..rng_seed+n_seeds-1, which vary only the train/test split.
 
-    Seeds vary only the train/test split; signature features are computed
-    once and shared. Summary holds mean/std of the final train and test NLL.
+    Coordinates are outer, seeds inner: one coordinate's design, row-space basis and Newton
+    workspace serve every seed. Summary holds mean/std of the final train and test NLL.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     d, lo, hi, designs = _prepare(dataset, config)
+    configs = [replace(config, rng_seed=config.rng_seed + s) for s in range(n_seeds)]
+    splits = [_split_indices(len(designs[0][1]), cfg.train_fraction,
+                             np.random.default_rng(cfg.rng_seed)) for cfg in configs]
+    per_coordinate = []
+    for feats, cbin in designs:
+        newton = None
+        if config.optimizer == "newton":  # every seed has the same number of training rows
+            basis = _row_space_basis(feats)
+            newton = basis, _HessianWork(config.bins, len(splits[0][0]), basis.shape[1])
+        per_coordinate.append([_fit_coordinate(feats, cbin, *split, cfg, newton)
+                               for cfg, split in zip(configs, splits)])
+        del newton  # at most one workspace is alive
     reports, models = [], []
-    for s in range(n_seeds):
-        cfg = TrainConfig(**{**asdict(config), "rng_seed": config.rng_seed + s})
-        model, report = _fit_from_designs(d, lo, hi, designs, cfg)
-        models.append(model)
-        reports.append(report)
+    for cfg, (train_idx, test_idx), fits in zip(configs, splits, zip(*per_coordinate)):
+        params, train_traces, test_traces, stops = map(list, zip(*fits))
+        best = [int(np.argmin(te)) for te in test_traces]  # the first best validation iterate
+        final_train, final_test = (sum(trace[b] for trace, b in zip(traces, best))
+                                   for traces in (train_traces, test_traces))
+        models.append(SigSplineModel(d=d, level=cfg.level, bins=cfg.bins, params=params,
+                                     window=cfg.window, scale_min=lo, scale_max=hi))
+        reports.append(FitReport(
+            seed=cfg.rng_seed, n_train=len(train_idx), n_test=len(test_idx),
+            train_nll=train_traces, test_nll=test_traces, stopped_iteration=stops,
+            final_train_nll=final_train, final_test_nll=final_test, config=asdict(cfg)))
     test = np.array([r.final_test_nll for r in reports])
     train = np.array([r.final_train_nll for r in reports])
     summary = {

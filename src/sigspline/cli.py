@@ -12,7 +12,7 @@ Each subcommand reads one JSON config (``--config``); flags override file
 keys and unknown file keys are rejected. A file value must have its default's
 type and pass the same choice check as the flag. The fully resolved config is
 echoed into every artifact the command writes. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+error, 2 data error (running out of memory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _require_counts(config: dict, **minimums: int) -> None:
 
 def cmd_simulate(config: dict) -> None:
     """Simulate the VAR(2) benchmark series."""
-    _require_counts(config, n_lags=1)
+    _require_counts(config, n_lags=1, seed=0)
     spec = synthetic.VarSpec(
         w1=np.asarray(config["w1"], dtype=float),
         w2=np.asarray(config["w2"], dtype=float),
@@ -171,7 +171,7 @@ def _train_config(config: dict) -> calibration.TrainConfig:
 
 def cmd_fit(config: dict) -> None:
     """Calibrate a model on a series CSV."""
-    _require_counts(config, window=1, n_seeds=1)
+    _require_counts(config, window=1, n_seeds=1, seed=0)
     try:
         train_cfg = _train_config(config)
     except ValueError as exc:
@@ -200,7 +200,7 @@ def cmd_fit(config: dict) -> None:
 
 def cmd_sample(config: dict) -> None:
     """Sample conditioned paths from a fitted model."""
-    _require_counts(config, batch=1, horizon=1)
+    _require_counts(config, batch=1, horizon=1, seed=0)
     fitted = model_mod.load_model(_require(config, "model"))
     series = dataio.read_series_csv(_require(config, "data"))
     rng = np.random.default_rng(config["seed"])
@@ -211,7 +211,7 @@ def cmd_sample(config: dict) -> None:
 
 def cmd_evaluate(config: dict) -> None:
     """Compare model samples against real data."""
-    _require_counts(config, batch=1, horizon=2, seeds=1)  # one-step samples have no returns
+    _require_counts(config, batch=1, horizon=evaluation.MIN_HORIZON, seeds=1, seed=0)
     series = dataio.read_series_csv(_require(config, "data"))
     if config["model"] is None:
         report = evaluation.self_evaluation_report(series, include_abs_acf=config["abs_acf"])
@@ -279,6 +279,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"data error: out of memory ({exc}); lower the series length or a size setting "
+              "(n_lags, level, bins, window, batch, horizon)", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -27,6 +27,7 @@ from .signature import as_paths, as_sequence
 KURTOSIS_CONVENTION = "raw fourth standardized moment (normal = 3)"
 
 DEFAULT_LAGS = (1, 2)
+MIN_HORIZON = max(DEFAULT_LAGS) + 2  # rows whose returns reach the largest lag
 
 
 def _pooled_acf(values: np.ndarray, ids: np.ndarray, lags) -> np.ndarray:
@@ -206,8 +207,8 @@ def evaluate(
     Each seed samples through :func:`~sigspline.model.sample_from_series`;
     deterministic given (model, data, seeds, base_seed).
     """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if seeds < 1 or horizon < MIN_HORIZON:  # checked before any sampling
+        raise ValueError(f"need seeds >= 1 and horizon >= {MIN_HORIZON}, got {seeds}, {horizon}")
     real = as_sequence(real_data)
     real_stats = dataset_statistics(real, include_abs_acf=include_abs_acf)
     per_seed = []

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,51 @@ class TestMultiSeedFit:
         result = multi_seed_fit(data, cfg, n_seeds=3)
         assert [r.seed for r in result.reports] == [100, 101, 102]
 
+    def test_newton_seeds_share_each_coordinates_basis_and_workspace(self, rng, monkeypatch):
+        # a seed changes only the split: one row-space SVD and one Hessian workspace per
+        # coordinate serve all 3 seeds, and every seed's fit is bitwise its one-seed fit
+        from sigspline import calibration
+
+        data = random_unit_sequences(rng, 60, 3, 2)
+        cfg = TrainConfig(level=2, bins=4, window=2, optimizer="newton", reg_kind="l2",
+                          reg_lambda=1e-6, max_iters=6, rng_seed=3)
+        alone = [fit(data, replace(cfg, rng_seed=cfg.rng_seed + s)) for s in range(3)]
+        real_basis, bases, works = calibration._row_space_basis, [], []
+
+        def counting_basis(feats):
+            bases.append(feats.shape)
+            return real_basis(feats)
+
+        class CountingWork(calibration._HessianWork):
+            def __init__(self, *shape):
+                works.append(shape)
+                super().__init__(*shape)
+
+        monkeypatch.setattr(calibration, "_row_space_basis", counting_basis)
+        monkeypatch.setattr(calibration, "_HessianWork", CountingWork)
+        result = multi_seed_fit(data, cfg, n_seeds=3)
+        assert len(bases) == 2 and len(works) == 2
+        assert all(n_train == result.reports[0].n_train for _, n_train, _ in works)
+        for (model, report), got_model, got_report in zip(alone, result.models, result.reports):
+            assert got_model.params.tobytes() == model.params.tobytes()
+            assert got_report == report
+            assert min(got_report.stopped_iteration) > 2  # several steps on one workspace
+
+    def test_oversized_newton_fit_is_refused_before_any_featurizing(self, rng, monkeypatch):
+        # d=2, L=4, N=128: the guard knows N and K before a single design row is built
+        from sigspline import calibration
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("build_design reached")
+
+        monkeypatch.setattr(calibration, "build_design", unreachable)
+        data = random_unit_sequences(rng, 8, 3, 2)
+        cfg = TrainConfig(level=4, bins=128, optimizer="newton", max_iters=3)
+        with pytest.raises(ValueError, match="15488.*gradient_descent"):
+            multi_seed_fit(data, cfg, n_seeds=2)
+        with pytest.raises(AssertionError, match="build_design reached"):  # no Hessian, no guard
+            fit(data, replace(cfg, optimizer="gradient_descent"))
+
 
 class TestTrainConfig:
     def test_default_patience_is_32(self):
@@ -391,11 +437,12 @@ def test_newton_divergence_recovery_halves_the_newton_step(rng, monkeypatch):
         return (nll if np.linalg.norm(u) < radius else np.inf), grad
 
     monkeypatch.setattr(calibration, "_nll_and_grad", nll_and_grad)
-    _fit_coordinate(feats, cbin, train, test, cfg)
+    newton = newton_state(feats, cfg.bins, len(train))
+    _fit_coordinate(feats, cbin, train, test, cfg, newton)
     full_step = visited[1]
     radius = 0.75 * np.linalg.norm(full_step)
     visited.clear()
-    _, train_trace, test_trace, stop = _fit_coordinate(feats, cbin, train, test, cfg)
+    _, train_trace, test_trace, stop = _fit_coordinate(feats, cbin, train, test, cfg, newton)
     assert not np.any(visited[0]) and np.array_equal(visited[1], full_step)
     assert np.array_equal(visited[2], 0.5 * full_step)  # not the identical step again
     assert stop == 2 and len(test_trace) == 2
@@ -444,6 +491,15 @@ def test_newton_builds_no_hessian_after_its_last_iterate(rng, monkeypatch):
     assert len(calls) == 2 * 7
 
 
+def newton_state(feats, bins, n_train):
+    """A coordinate's Newton state as multi_seed_fit makes it: the row-space basis of its
+    design and one Hessian workspace for n_train rows."""
+    from sigspline import calibration
+
+    basis = _row_space_basis(feats)
+    return basis, calibration._HessianWork(bins, n_train, basis.shape[1])
+
+
 def first_newton_step(feats, cbin, train, test, cfg):
     """The step that _fit_coordinate takes from zero: minus its second iterate
     (the full step, rate 1); cfg.max_iters must be at least 2."""
@@ -458,7 +514,7 @@ def first_newton_step(feats, cbin, train, test, cfg):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calibration, "_nll_and_grad", nll_and_grad)
-        _fit_coordinate(feats, cbin, train, test, cfg)
+        _fit_coordinate(feats, cbin, train, test, cfg, newton_state(feats, cfg.bins, len(train)))
     return -visited[1]
 
 

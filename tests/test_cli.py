@@ -215,12 +215,18 @@ class TestExitCodes:
         ("sample", ["--horizon", 0]),
         ("evaluate", ["--batch", 0]),
         ("evaluate", ["--horizon", 1]),  # one-step samples have no returns
+        ("evaluate", ["--horizon", 3]),  # the return ACF at lag 2 needs 3 returns
         ("evaluate", ["--seeds", 0]),
+        ("simulate", ["--seed", -1]),
+        ("fit", ["--seed", -1]),
+        ("sample", ["--seed", -1]),
+        ("evaluate", ["--seed", -1]),
     ],
 )
 def test_count_flags_below_minimum_are_usage_errors(tmp_path, series_csv, capsys, command, flags):
     model, _ = fit_small_model(tmp_path, series_csv, max_iters=2, n_seeds=1)
     outputs = {
+        "simulate": ["--output", tmp_path / "v.csv"],
         "fit": ["--data", series_csv, "--output-model", tmp_path / "m.json",
                 "--output-report", tmp_path / "r.json"],
         "sample": ["--model", model, "--data", series_csv, "--output", tmp_path / "s.csv"],
@@ -230,6 +236,30 @@ def test_count_flags_below_minimum_are_usage_errors(tmp_path, series_csv, capsys
     capsys.readouterr()
     assert run(command, *outputs[command], *flags) == 1
     assert f"usage error: {flags[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "sample", "evaluate"])
+def test_negative_seed_from_a_file_is_a_usage_error(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert run(command, "--config", config) == 1
+    assert "usage error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_a_data_error(tmp_path, series_csv, capsys, monkeypatch):
+    from sigspline import calibration
+
+    def out_of_memory(*args, **kwargs):  # as numpy reports an allocation that fails
+        raise MemoryError("Unable to allocate 9.69 GiB for an array with shape (1300000000,)")
+
+    monkeypatch.setattr(calibration, "multi_seed_fit", out_of_memory)
+    code = run("fit", "--data", series_csv, "--window", 2, "--output-model",
+               tmp_path / "model.json", "--output-report", tmp_path / "report.json")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: out of memory (Unable to allocate 9.69 GiB")
+    assert "bins" in err and "series length" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize(

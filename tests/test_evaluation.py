@@ -242,6 +242,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="histories"):
             evaluate(model, rng.random((20, 2)), batch=100, seeds=1)
 
+    def test_horizon_below_the_minimum_is_refused_before_sampling(self, rng, monkeypatch):
+        # the return ACF at the largest default lag, 2, needs 3 returns: 4 sampled rows
+        from sigspline import evaluation
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        assert evaluation.MIN_HORIZON == max(evaluation.DEFAULT_LAGS) + 2 == 4
+        monkeypatch.setattr(evaluation, "sample_from_series", unreachable)
+        model = zero_model(2, 1, 4, window=2)
+        for horizon in (1, 2, 3):
+            with pytest.raises(ValueError, match="horizon >= 4"):
+                evaluate(model, rng.random((50, 2)), horizon=horizon, batch=8, seeds=1)
+
     def test_report_serializes(self, rng):
         import json
 
