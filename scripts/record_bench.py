@@ -193,7 +193,7 @@ def _newton_design(n_lags: int) -> np.ndarray:
 
     series = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
     cfg = calibration.TrainConfig(level=3, bins=16, window=2)
-    feats = calibration._prepare(calibration.windows_from_series(series, 2), cfg)[3][0][0]
+    feats = calibration._prepare(calibration.windows_from_series(series, 2), cfg)[1][0][0]
     train, _ = calibration._split_indices(len(feats), cfg.train_fraction,
                                           np.random.default_rng(0))
     return feats[train] @ calibration._row_space_basis(feats)

@@ -44,8 +44,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .model import (
-    SigSplineModel, _channel_widths, conditioning_signatures, parameter_count, sliding_windows,
-    to_unit,
+    SigSplineModel, conditioning_signatures, parameter_count, sliding_windows, to_unit,
 )
 from .signature import CHUNK_ROWS, as_paths, as_sequence
 from .spline import bin_indicator
@@ -160,17 +159,13 @@ def _stacks(dataset) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(at, as_paths(stack)) for at, stack in groups]
 
 
-def _rescaled(dataset, transform):
-    """``transform`` of an (M, n, d) dataset array in one call, or of each sequence of a list."""
-    return transform(dataset) if _is_stack(dataset) else [transform(seq) for seq in dataset]
-
-
 def build_design(dataset, i, level: int, bins: int, window: int | None = None):
     """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
     list of them if ``i`` is a sequence. ``dataset`` is an (M, n, d) array or a
     list of (n_j, d) sequences; each equal-length stack is featurized CHUNK_ROWS
-    rows at a time by :func:`~sigspline.model.conditioning_signatures`."""
-    coords = list(i) if np.ndim(i) else [i]
+    rows at a time by :func:`~sigspline.model.conditioning_signatures`, for
+    coordinate i alone if ``i`` is an int."""
+    coords, one = (list(i), None) if np.ndim(i) else ([i], i)
     stacks = _stacks(dataset)
     first, shortest = stacks[0]
     if shortest.shape[1] < 2:
@@ -183,15 +178,16 @@ def build_design(dataset, i, level: int, bins: int, window: int | None = None):
     for at, stack in stacks:
         for start in range(0, len(at), CHUNK_ROWS):
             rows, x = at[start : start + CHUNK_ROWS], stack[start : start + CHUNK_ROWS]
-            sigs = conditioning_signatures(x, level, window)
+            sigs = conditioning_signatures(x, level, window, one)
             last_bins = bin_indicator(x[:, -1], bins) - 1
             for c, (feats, cbins) in zip(coords, designs):
-                feats[rows], cbins[rows] = sigs[c - 1], last_bins[:, c - 1]
-    return designs if np.ndim(i) else designs[0]
+                feats[rows] = sigs[c - 1] if one is None else sigs
+                cbins[rows] = last_bins[:, c - 1]
+    return designs if one is None else designs[0]
 
 
 def _designs(model: SigSplineModel, dataset, i):
-    unit = _rescaled(dataset, lambda x: to_unit(model, x))
+    unit = to_unit(model, dataset) if _is_stack(dataset) else [to_unit(model, x) for x in dataset]
     return build_design(unit, i, model.level, model.bins, model.window)
 
 
@@ -352,7 +348,9 @@ def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
 
     Row/column order follows params[i-1].ravel(): bin-major, feature-minor.
     """
-    _check_hessian_size(model.bins, model.params[i - 1].shape[1])
+    if not 1 <= i <= model.d:
+        raise ValueError(f"coordinate {i} outside [1..{model.d}]")
+    _check_hessian_size(model.bins, model.n_features)
     feats, _ = _designs(model, dataset, i)
     return _hessian_from_design(model.params[i - 1], feats)
 
@@ -429,19 +427,19 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig, newton=N
 
 
 def _prepare(dataset, cfg: TrainConfig):
-    """Check Newton's Hessian size, rescale to [0,1], and precompute per-coordinate designs."""
+    """Check Newton's Hessian size, then return the zero-coefficient model that carries the
+    dataset's per-channel [0,1] rescale, and its designs of the data mapped by ``to_unit``."""
     stacks = [stack for _, stack in _stacks(dataset)]
     lo = np.min([stack.min(axis=(0, 1)) for stack in stacks], axis=0)
     hi = np.max([stack.max(axis=(0, 1)) for stack in stacks], axis=0)
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
-    width = _channel_widths(lo, hi)
+    d, k = len(lo), feature_count(1 + len(lo), cfg.level)
     if cfg.optimizer == "newton":
-        _check_hessian_size(cfg.bins, feature_count(1 + len(lo), cfg.level))
-    unit = _rescaled(dataset, lambda x: (x - lo) / width)
-    designs = build_design(unit, range(1, len(lo) + 1), cfg.level, cfg.bins, cfg.window)
-    return len(lo), lo, hi, designs
+        _check_hessian_size(cfg.bins, k)
+    scaled = SigSplineModel(d, cfg.level, cfg.bins, np.zeros((d, cfg.bins, k)), cfg.window, lo, hi)
+    return scaled, _designs(scaled, dataset, range(1, d + 1))
 
 
 def fit(dataset, config: TrainConfig):
@@ -463,7 +461,7 @@ def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeed
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    d, lo, hi, designs = _prepare(dataset, config)
+    scaled, designs = _prepare(dataset, config)
     configs = [replace(config, rng_seed=config.rng_seed + s) for s in range(n_seeds)]
     splits = [_split_indices(len(designs[0][1]), cfg.train_fraction,
                              np.random.default_rng(cfg.rng_seed)) for cfg in configs]
@@ -482,8 +480,7 @@ def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeed
         best = [int(np.argmin(te)) for te in test_traces]  # the first best validation iterate
         final_train, final_test = (sum(trace[b] for trace, b in zip(traces, best))
                                    for traces in (train_traces, test_traces))
-        models.append(SigSplineModel(d=d, level=cfg.level, bins=cfg.bins, params=params,
-                                     window=cfg.window, scale_min=lo, scale_max=hi))
+        models.append(replace(scaled, params=params))
         reports.append(FitReport(
             seed=cfg.rng_seed, n_train=len(train_idx), n_test=len(test_idx),
             train_nll=train_traces, test_nll=test_traces, stopped_iteration=stops,
@@ -496,13 +493,15 @@ def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeed
         "test_nll_std": float(test.std(ddof=1)) if n_seeds > 1 else 0.0,
         "train_nll_mean": float(train.mean()),
         "train_nll_std": float(train.std(ddof=1)) if n_seeds > 1 else 0.0,
-        "parameter_count": parameter_count(d, config.level, config.bins),
+        "parameter_count": parameter_count(scaled.d, config.level, config.bins),
     }
     return MultiSeedResult(reports, models, summary, int(np.argmin(test)))
 
 
 def windows_from_series(series, window: int) -> np.ndarray:
     """The (M, window+1, d) training windows of one long series."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     arr = as_sequence(series)
     if arr.shape[0] < window + 2:
         raise ValueError(

@@ -9,6 +9,7 @@ piecewise-linear conditional CDF; chaining the d conditionals triangularly
 yields the joint density and an exact inverse-transform sampler.
 
 Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
+Every conditioning signature but ``sample_step``'s comes from ``conditioning_signatures``.
 A batch of windows is one array: ``sliding_windows`` cuts a series into an
 (M, length, d) stack, and ``SigSplineModel.params`` is one (d, bins, K) array.
 
@@ -137,8 +138,7 @@ def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
     observation last; its coordinates >= i never influence the result.
     """
     params_i = np.asarray(params_i, dtype=float)
-    prefix, ends = chen_split(x, level)  # one fold; only coordinate i's row is extended
-    sig = extend(prefix, masked_increments(ends, i), level)
+    sig = conditioning_signatures(x, level, None, i)
     if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
         raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
     return sig @ params_i.T
@@ -182,13 +182,14 @@ def masked_increments(ends, i: int | None = None) -> np.ndarray:
     return np.where(reveal.reshape(*reveal.shape[:-1], *(1,) * (last.ndim - 1), d + 1), last, 0.0)
 
 
-def conditioning_signatures(x, level: int, window: int | None) -> np.ndarray:
-    """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows: row i - 1
-    is ``signatures(conditioning_embedding(path, i), level)`` of the window's ``conditioning_path``,
-    from one prefix fold and one stacked extension by the d masked last segments."""
+def conditioning_signatures(x, level: int, window: int | None, i: int | None = None) -> np.ndarray:
+    """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows, or
+    coordinate i's alone (..., K): row i - 1 is ``signatures(conditioning_embedding(path, i),
+    level)`` of the window's ``conditioning_path``, from one prefix fold extended by the masked
+    last segments of ``masked_increments(ends, i)``."""
     arr = as_paths(x)
     prefix, ends = chen_split(conditioning_path(arr[..., :-1, :], arr[..., -1, :], window), level)
-    return extend(prefix, masked_increments(ends), level)
+    return extend(prefix, masked_increments(ends, i), level)
 
 
 def _conditioning_paths(model: SigSplineModel, history) -> np.ndarray:
@@ -211,9 +212,7 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
     path = _conditioning_paths(model, history)
     path[..., -1, : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
-    prefix, ends = chen_split(path, model.level)
-    sig = extend(prefix, masked_increments(ends, i), model.level)
-    return softmax(sig @ model.params[i - 1].T)
+    return softmax(feature_map(path, i, model.params[i - 1], model.level))
 
 
 def log_likelihood(model: SigSplineModel, x) -> float | np.ndarray:

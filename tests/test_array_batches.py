@@ -67,6 +67,11 @@ def _windows(rng):
     return windows_from_series(np.cumsum(rng.standard_normal((300, 2)), axis=0), 2)
 
 
+def test_windows_from_series_rejects_a_window_below_one(rng):
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        windows_from_series(rng.random((10, 2)), 0)
+
+
 def test_build_design_on_an_array_equals_the_list(rng):
     windows = 0.02 + 0.96 * rng.random((300, 3, 2))
     got = build_design(windows, range(1, 3), level=2, bins=8, window=2)

@@ -8,6 +8,7 @@ import pytest
 from sigspline.calibration import (
     DivergenceError,
     TrainConfig,
+    _designs,
     _fit_coordinate,
     _prepare,
     _row_space_basis,
@@ -172,6 +173,12 @@ class TestHessian:
         with pytest.raises(ValueError):
             hessian(model, random_unit_sequences(rng, 3, 3, 2), 1)
 
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_coordinate_outside_the_model_is_rejected(self, i, rng):
+        model = random_model(rng, d=2, level=1, bins=3)
+        with pytest.raises(ValueError, match=f"coordinate {i} outside \\[1..2\\]"):
+            hessian(model, random_unit_sequences(rng, 3, 3, 2), i)
+
 
 class TestRegularizedLoss:
     def test_lambda_zero_reduces_to_loss(self, rng):
@@ -292,7 +299,7 @@ class TestFit:
         data = random_unit_sequences(rng, 30, 3, 2)
         cfg = TrainConfig(level=1, bins=4, max_iters=40, rng_seed=6)
         model, _ = fit(data, cfg)
-        d, lo, hi, designs = _prepare(data, cfg)
+        _, designs = _prepare(data, cfg)
         split_rng = np.random.default_rng(cfg.rng_seed)
         train_idx, test_idx = _split_indices(len(data), cfg.train_fraction, split_rng)
         for i in (1, 2):
@@ -413,6 +420,40 @@ def test_design_uses_masked_signatures(rng):
     feats, cbin = build_design(data, 1, level=1, bins=4)
     assert feats.shape == (4, 4) and np.all(feats[:, 0] == 1.0)
     assert cbin.min() >= 0 and cbin.max() < 4
+
+
+def test_one_coordinate_design_extends_one_masked_row_per_window(rng, monkeypatch):
+    from sigspline import model as model_module
+
+    rows, extend = [], model_module.extend
+
+    def counting(sig, increments, level):
+        rows.append(np.prod(np.shape(increments)[:-1]))
+        return extend(sig, increments, level)
+
+    monkeypatch.setattr(model_module, "extend", counting)
+    data = random_unit_sequences(rng, 7, 4, 3)
+    build_design(data, 2, level=2, bins=4, window=2)
+    assert sum(rows) == 7
+    rows.clear()
+    build_design(data, range(1, 4), level=2, bins=4, window=2)
+    assert sum(rows) == 3 * 7
+
+
+def test_fit_designs_are_its_models_designs(rng):
+    # raw data off [0,1]: the fit rescales through to_unit, whose clamp never fires on it
+    data = [3.0 * x - 1.0 for x in random_unit_sequences(rng, 30, 4, 2)]
+    cfg = TrainConfig(level=2, bins=4, window=2, max_iters=5)
+    scaled, designs = _prepare(data, cfg)
+    model, _ = fit(data, cfg)
+    lo, hi = np.min(data, axis=(0, 1)), np.max(data, axis=(0, 1))
+    assert model.scale_min.tobytes() == lo.tobytes() and model.scale_max.tobytes() == hi.tobytes()
+    assert np.array_equal(scaled.params, np.zeros_like(model.params))
+    unit = [(x - lo) / (hi - lo) for x in data]  # the rescale written out
+    for i, (feats, cbin) in enumerate(designs, start=1):
+        for want_feats, want_cbin in (_designs(model, data, i), build_design(unit, i, 2, 4, 2)):
+            assert feats.tobytes() == want_feats.tobytes()
+            assert cbin.tobytes() == want_cbin.tobytes()
 
 
 

@@ -30,6 +30,7 @@ def test_conditioning_signatures_equal_the_masked_path_folds(seed, d, level, n, 
     assert sigs.shape == (d, len(x), feature_count(1 + d, level))
     for i in range(1, d + 1):
         assert np.array_equal(sigs[i - 1], signatures(conditioning_embedding(path, i), level))
+        assert conditioning_signatures(x, level, window, i).tobytes() == sigs[i - 1].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
