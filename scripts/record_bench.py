@@ -20,7 +20,9 @@ subprocesses with one BLAS thread:
   histories at sample_score_d2's shape (the sampler alone, without the CSV
   and model file IO that perfbench's ``sample_steps_per_s`` includes), one
   ``model.save_model`` and
-  ``model.load_model`` of a model file at the workloads' fit shapes, and one
+  ``model.load_model`` of a model file at the workloads' fit shapes, the fit's
+  featurize pass (``calibration._prepare``) plus one coordinate's design at the
+  fit_newton_d2 and fit_gd_l1_d8 shapes, and one
   Newton step's ``calibration._hessian_from_design`` (one-shot, and with a
   warm workspace as the fit calls it) and ``np.linalg.solve`` at the
   row-space shapes of the fit_newton_d2 and ``configs/`` fits, timed in a
@@ -66,6 +68,10 @@ EXTEND_ROWS = (1, 1024)
 LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
 SAMPLE_STEP_SIZE = (2, 3, 16, 2, 256)  # (d, level, bins, window, batch) of sample_score_d2
 NEWTON_LAGS = (1024, 4096)  # VAR(2) series of fit_newton_d2 and configs/: d=2, L=3, N=16, window 2
+FEATURIZE_SIZES = (  # (n_lags, map, level, bins, window) of fit_newton_d2 and fit_gd_l1_d8
+    (1024, "identity", 3, 16, 2),
+    (512, "fixed_nonlinear", 2, 64, 3),
+)
 PROBE_GEMM_N = 256  # the machine probe: an n x n float64 matrix product ...
 PROBE_LOOP = 100_000  # ... and a pure-Python loop of this many iterations
 PIPELINE = (  # (stage, config file); the configs read and write paths relative to the cwd
@@ -193,15 +199,28 @@ def _newton_design(n_lags: int) -> np.ndarray:
 
     series = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
     cfg = calibration.TrainConfig(level=3, bins=16, window=2)
-    feats = calibration._prepare(calibration.windows_from_series(series, 2), cfg)[1][0][0]
+    feats = calibration._prepare(calibration.windows_from_series(series, 2), cfg)[1](1)[0]
     train, _ = calibration._split_indices(len(feats), cfg.train_fraction,
                                           np.random.default_rng(0))
     return feats[train] @ calibration._row_space_basis(feats)
 
 
+def _featurize_entry(n_lags: int, map_kind: str, level: int, bins: int, window: int):
+    """(name, call) of the fit's featurize pass plus coordinate 1's design on a benchmark
+    series of ``n_lags`` lags through ``map_kind``."""
+    from sigspline import calibration, synthetic
+
+    latent = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
+    windows = calibration.windows_from_series(synthetic.observe(latent, map_kind), window)
+    cfg = calibration.TrainConfig(level=level, bins=bins, window=window)
+    shape = f"d{windows.shape[2]}_L{level}_N{bins}_window{window}_M{len(windows)}"
+    return f"calibration._prepare+design/{shape}", lambda: calibration._prepare(windows, cfg)[1](1)
+
+
 def measure_kernels() -> dict:
-    """Per-call times of the machine probe, the signature kernel, the model file IO and one
-    Newton step's Hessian and solve of whichever ``sigspline`` is on ``sys.path``."""
+    """Per-call times of the machine probe, the signature kernel, the model file IO, the fit's
+    featurize pass and one Newton step's Hessian and solve of whichever ``sigspline`` is on
+    ``sys.path``."""
     from sigspline.calibration import _hessian_from_design, _HessianWork
     from sigspline.model import SigSplineModel, load_model, log_likelihood, sample_step, save_model
     from sigspline.signature import extend
@@ -236,6 +255,9 @@ def measure_kernels() -> dict:
     history, u = rng.random((batch, window, d)), rng.random((batch, d))
     out[f"model.sample_step/d{d}_L{level}_N{bins}_window{window}_B{batch}"] = _per_call_us(
         lambda: sample_step(model, history, u))
+    for size in FEATURIZE_SIZES:
+        name, call = _featurize_entry(*size)
+        out[name] = _per_call_us(call)
     for n_lags in NEWTON_LAGS:
         design = _newton_design(n_lags)
         u = 0.3 * rng.standard_normal((16, design.shape[1]))
@@ -278,7 +300,7 @@ def main(argv=None) -> int:
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(
             repo, spec["command"], workload, seconds)
-    print("timing the signature kernel, model IO and Newton step", file=sys.stderr)
+    print("timing the signature kernel, model IO, featurize pass and Newton step", file=sys.stderr)
     record["kernel"] = record_kernels(repo)
     print("timing the tier-1 suite", file=sys.stderr)
     record["tier1"] = record_tier1(repo)

@@ -20,7 +20,7 @@ steps build their Hessians in one workspace (_HessianWork): the chunk buffers,
 the pair Gram and the dense result, whose memory also takes each chunk's GEMM
 output until the gather. It holds the result, the Gram, one chunk and one bin row
 of the result (1/N of it), and after the first step no call allocates any of them.
-Features are computed once up front; every optimizer iteration is then a pure
+Each coordinate's design is built as it is fitted; every optimizer iteration is a pure
 linear-algebra pass. Fitting is full-batch gradient descent (or Newton for
 small problems), with early stopping on a held-out split. The designs are
 rank-deficient (the time channel makes S(1) = 1, and the shuffle identity ties
@@ -44,9 +44,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .model import (
-    SigSplineModel, conditioning_signatures, parameter_count, sliding_windows, to_unit,
+    SigSplineModel, chen_split, conditioning_path, masked_increments, parameter_count,
+    sliding_windows, to_unit,
 )
-from .signature import CHUNK_ROWS, as_paths, as_sequence
+from .signature import CHUNK_ROWS, as_paths, as_sequence, extend
 from .spline import bin_indicator
 from .tensor_algebra import feature_count
 
@@ -135,15 +136,11 @@ class MultiSeedResult:
 # designs: parameter-independent features per (sample, coordinate)
 
 
-def _is_stack(dataset) -> bool:
-    return isinstance(dataset, np.ndarray) and dataset.ndim == 3
-
-
 def _stacks(dataset) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, (m, n, d) stack) pairs of equal-length sequences covering a dataset, checked
     by ``as_paths``: an (M, n, d) array is one stack, a list of (n_j, d) sequences is grouped by
     length, shortest first."""
-    if _is_stack(dataset):
+    if isinstance(dataset, np.ndarray) and dataset.ndim == 3:
         groups = [(np.arange(len(dataset)), dataset)] if len(dataset) else []
     else:
         arrs = [as_sequence(seq) for seq in dataset]
@@ -159,36 +156,38 @@ def _stacks(dataset) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(at, as_paths(stack)) for at, stack in groups]
 
 
-def build_design(dataset, i, level: int, bins: int, window: int | None = None):
-    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a
-    list of them if ``i`` is a sequence. ``dataset`` is an (M, n, d) array or a
-    list of (n_j, d) sequences; each equal-length stack is featurized CHUNK_ROWS
-    rows at a time by :func:`~sigspline.model.conditioning_signatures`, for
-    coordinate i alone if ``i`` is an int."""
-    coords, one = (list(i), None) if np.ndim(i) else ([i], i)
-    stacks = _stacks(dataset)
+def _featurize(stacks, level: int, bins: int, window: int | None):
+    """Coordinate i -> its design of ``_stacks`` pairs (rows as in ``conditioning_signatures``),
+    extended CHUNK_ROWS rows at a time from one ``chen_split`` fold of each window's prefix."""
     first, shortest = stacks[0]
     if shortest.shape[1] < 2:
         raise ValueError(f"sequence {first[0]} has fewer than 2 rows")
-    d = shortest.shape[2]
-    if not set(coords) <= set(range(1, d + 1)):
-        raise ValueError(f"coordinates {coords} outside [1..{d}]")
-    m, k = sum(len(at) for at, _ in stacks), feature_count(1 + d, level)
-    designs = [(np.empty((m, k)), np.empty(m, dtype=int)) for _ in coords]
-    for at, stack in stacks:
-        for start in range(0, len(at), CHUNK_ROWS):
-            rows, x = at[start : start + CHUNK_ROWS], stack[start : start + CHUNK_ROWS]
-            sigs = conditioning_signatures(x, level, window, one)
-            last_bins = bin_indicator(x[:, -1], bins) - 1
-            for c, (feats, cbins) in zip(coords, designs):
-                feats[rows] = sigs[c - 1] if one is None else sigs
-                cbins[rows] = last_bins[:, c - 1]
-    return designs if one is None else designs[0]
+    m, d = sum(len(at) for at, _ in stacks), shortest.shape[2]
+    prefix, ends = np.empty((m, feature_count(1 + d, level))), np.empty((m, 2, 1 + d))
+    last_bins = np.empty((m, d), dtype=int)
+    for at, x in stacks:
+        last_bins[at] = bin_indicator(x[:, -1], bins) - 1
+        prefix[at], ends[at] = chen_split(conditioning_path(x[:, :-1], x[:, -1], window), level)
+
+    def design(i: int):
+        feats = np.empty_like(prefix)  # filled by chunks, whose temporaries stay in cache
+        for start in range(0, m, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            feats[rows] = extend(prefix[rows], masked_increments(ends[rows], i), level)
+        return feats, last_bins[:, i - 1]
+    return design
 
 
-def _designs(model: SigSplineModel, dataset, i):
-    unit = to_unit(model, dataset) if _is_stack(dataset) else [to_unit(model, x) for x in dataset]
-    return build_design(unit, i, model.level, model.bins, model.window)
+def build_design(dataset, i, level: int, bins: int, window: int | None = None):
+    """Feature matrix Y (M x K) and 0-based bin indices for coordinate i, or a list of them if
+    ``i`` is a sequence, of an (M, n, d) array or a list of (n_j, d) sequences."""
+    design = _featurize(_stacks(dataset), level, bins, window)
+    return [design(c) for c in i] if np.ndim(i) else design(i)
+
+
+def _designs(model: SigSplineModel, dataset):
+    unit = [(at, to_unit(model, stack)) for at, stack in _stacks(dataset)]
+    return _featurize(unit, model.level, model.bins, model.window)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +229,14 @@ def _penalty_grad(u: np.ndarray, kind: str, lam: float) -> np.ndarray:
 
 def loss(model: SigSplineModel, dataset) -> float:
     """Mean negative log bin-probability, summed over coordinates."""
-    designs = _designs(model, dataset, range(1, model.d + 1))
-    return sum(_nll_and_grad(u, *design, False)[0] for u, design in zip(model.params, designs))
+    design = _designs(model, dataset)
+    return sum(_nll_and_grad(u, *design(i), False)[0] for i, u in enumerate(model.params, 1))
 
 
 def gradient(model: SigSplineModel, dataset) -> list[np.ndarray]:
     """Analytic gradient of :func:`loss`, one bins x K array per coordinate."""
-    designs = _designs(model, dataset, range(1, model.d + 1))
-    return [_nll_and_grad(u, *design)[1] for u, design in zip(model.params, designs)]
+    design = _designs(model, dataset)
+    return [_nll_and_grad(u, *design(i))[1] for i, u in enumerate(model.params, 1)]
 
 
 def regularized_loss(model: SigSplineModel, dataset, reg_lambda: float, reg_kind: str) -> float:
@@ -351,7 +350,7 @@ def hessian(model: SigSplineModel, dataset, i: int) -> np.ndarray:
     if not 1 <= i <= model.d:
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
     _check_hessian_size(model.bins, model.n_features)
-    feats, _ = _designs(model, dataset, i)
+    feats, _ = _designs(model, dataset)(i)
     return _hessian_from_design(model.params[i - 1], feats)
 
 
@@ -428,10 +427,10 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig, newton=N
 
 def _prepare(dataset, cfg: TrainConfig):
     """Check Newton's Hessian size, then return the zero-coefficient model that carries the
-    dataset's per-channel [0,1] rescale, and its designs of the data mapped by ``to_unit``."""
-    stacks = [stack for _, stack in _stacks(dataset)]
-    lo = np.min([stack.min(axis=(0, 1)) for stack in stacks], axis=0)
-    hi = np.max([stack.max(axis=(0, 1)) for stack in stacks], axis=0)
+    dataset's per-channel [0,1] rescale, and the designs of its ``to_unit`` map (one read)."""
+    stacks = _stacks(dataset)
+    lo = np.min([stack.min(axis=(0, 1)) for _, stack in stacks], axis=0)
+    hi = np.max([stack.max(axis=(0, 1)) for _, stack in stacks], axis=0)
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
@@ -439,7 +438,8 @@ def _prepare(dataset, cfg: TrainConfig):
     if cfg.optimizer == "newton":
         _check_hessian_size(cfg.bins, k)
     scaled = SigSplineModel(d, cfg.level, cfg.bins, np.zeros((d, cfg.bins, k)), cfg.window, lo, hi)
-    return scaled, _designs(scaled, dataset, range(1, d + 1))
+    unit = [(at, to_unit(scaled, stack)) for at, stack in stacks]
+    return scaled, _featurize(unit, cfg.level, cfg.bins, cfg.window)
 
 
 def fit(dataset, config: TrainConfig):
@@ -456,24 +456,24 @@ def fit(dataset, config: TrainConfig):
 def multi_seed_fit(dataset, config: TrainConfig, n_seeds: int = 10) -> MultiSeedResult:
     """Calibrate with seeds rng_seed..rng_seed+n_seeds-1, which vary only the train/test split.
 
-    Coordinates are outer, seeds inner: one coordinate's design, row-space basis and Newton
-    workspace serve every seed. Summary holds mean/std of the final train and test NLL.
+    Coordinates are outer, seeds inner: a coordinate's design, row-space basis and Newton
+    workspace, built as it starts, serve every seed. Summary: mean/std of final train/test NLL.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    scaled, designs = _prepare(dataset, config)
+    scaled, design = _prepare(dataset, config)
     configs = [replace(config, rng_seed=config.rng_seed + s) for s in range(n_seeds)]
-    splits = [_split_indices(len(designs[0][1]), cfg.train_fraction,
+    splits = [_split_indices(len(dataset), cfg.train_fraction,
                              np.random.default_rng(cfg.rng_seed)) for cfg in configs]
     per_coordinate = []
-    for feats, cbin in designs:
+    for feats, cbin in map(design, range(1, scaled.d + 1)):
         newton = None
         if config.optimizer == "newton":  # every seed has the same number of training rows
             basis = _row_space_basis(feats)
             newton = basis, _HessianWork(config.bins, len(splits[0][0]), basis.shape[1])
         per_coordinate.append([_fit_coordinate(feats, cbin, *split, cfg, newton)
                                for cfg, split in zip(configs, splits)])
-        del newton  # at most one workspace is alive
+        del feats, newton  # at most one design and one workspace are alive
     reports, models = [], []
     for cfg, (train_idx, test_idx), fits in zip(configs, splits, zip(*per_coordinate)):
         params, train_traces, test_traces, stops = map(list, zip(*fits))

@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except (calibration.DivergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # a level too large for int64 features
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy's message names the allocation

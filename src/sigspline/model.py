@@ -9,7 +9,7 @@ piecewise-linear conditional CDF; chaining the d conditionals triangularly
 yields the joint density and an exact inverse-transform sampler.
 
 Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
-Every conditioning signature but ``sample_step``'s comes from ``conditioning_signatures``.
+Conditioning signatures, but ``sample_step``'s and the fit's, come from ``conditioning_signatures``.
 A batch of windows is one array: ``sliding_windows`` cuts a series into an
 (M, length, d) stack, and ``SigSplineModel.params`` is one (d, bins, K) array.
 

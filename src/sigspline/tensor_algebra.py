@@ -34,7 +34,7 @@ def feature_count(alphabet_size: int, level: int) -> int:
         total += power
         if total > _INT64_MAX:
             raise OverflowError(
-                f"feature_count({alphabet_size}, {level}) exceeds 64-bit range"
+                f"level {level}: feature_count({alphabet_size}, {level}) exceeds 64-bit range"
             )
         power *= alphabet_size
     return total

@@ -20,6 +20,7 @@ from sigspline.calibration import (
     loss,
     multi_seed_fit,
     regularized_loss,
+    windows_from_series,
 )
 from sigspline.model import SigSplineModel, conditional_increments, zero_model
 from sigspline.spline import softmax
@@ -299,11 +300,11 @@ class TestFit:
         data = random_unit_sequences(rng, 30, 3, 2)
         cfg = TrainConfig(level=1, bins=4, max_iters=40, rng_seed=6)
         model, _ = fit(data, cfg)
-        _, designs = _prepare(data, cfg)
+        _, design = _prepare(data, cfg)
         split_rng = np.random.default_rng(cfg.rng_seed)
         train_idx, test_idx = _split_indices(len(data), cfg.train_fraction, split_rng)
         for i in (1, 2):
-            feats, cbin = designs[i - 1]
+            feats, cbin = design(i)
             u, _, _, _ = _fit_coordinate(feats, cbin, train_idx, test_idx, cfg)
             assert np.array_equal(u, model.params[i - 1])
 
@@ -372,19 +373,53 @@ class TestMultiSeedFit:
             assert got_report == report
             assert min(got_report.stopped_iteration) > 2  # several steps on one workspace
 
+    def test_a_list_dataset_is_read_and_checked_once(self, rng, monkeypatch):
+        # the rescale range and the designs come from one pass: one as_sequence call per sequence
+        from sigspline import calibration
+
+        calls, as_sequence = [], calibration.as_sequence
+
+        def counting(x):
+            calls.append(1)
+            return as_sequence(x)
+
+        monkeypatch.setattr(calibration, "as_sequence", counting)
+        data = random_unit_sequences(rng, 20, 3, 2) + random_unit_sequences(rng, 20, 4, 2)
+        multi_seed_fit(data, TrainConfig(level=2, bins=4, window=2, max_iters=3), n_seeds=2)
+        assert len(calls) == 40
+
+    def test_fit_holds_a_few_designs_not_all_of_them(self):
+        # 1024 lags of the d=8 map at L=3: one (M, K) design is 1021 x 820 float64 = 6.7 MB; the
+        # fit keeps the window prefixes and one coordinate's design with its train/test rows
+        import tracemalloc
+
+        from sigspline import synthetic
+
+        latent = synthetic.simulate_var2(synthetic.benchmark_var_spec(1024, 0))
+        windows = windows_from_series(synthetic.observe(latent, "fixed_nonlinear"), 3)
+        cfg = TrainConfig(level=3, bins=16, window=3, max_iters=2)
+        design = 8 * len(windows) * feature_count(9, 3)
+        tracemalloc.start()
+        try:
+            fit(windows, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * design
+
     def test_oversized_newton_fit_is_refused_before_any_featurizing(self, rng, monkeypatch):
         # d=2, L=4, N=128: the guard knows N and K before a single design row is built
         from sigspline import calibration
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("build_design reached")
+            raise AssertionError("featurizer reached")
 
-        monkeypatch.setattr(calibration, "build_design", unreachable)
+        monkeypatch.setattr(calibration, "_featurize", unreachable)
         data = random_unit_sequences(rng, 8, 3, 2)
         cfg = TrainConfig(level=4, bins=128, optimizer="newton", max_iters=3)
         with pytest.raises(ValueError, match="15488.*gradient_descent"):
             multi_seed_fit(data, cfg, n_seeds=2)
-        with pytest.raises(AssertionError, match="build_design reached"):  # no Hessian, no guard
+        with pytest.raises(AssertionError, match="featurizer reached"):  # no Hessian, no guard
             fit(data, replace(cfg, optimizer="gradient_descent"))
 
 
@@ -423,15 +458,15 @@ def test_design_uses_masked_signatures(rng):
 
 
 def test_one_coordinate_design_extends_one_masked_row_per_window(rng, monkeypatch):
-    from sigspline import model as model_module
+    from sigspline import calibration
 
-    rows, extend = [], model_module.extend
+    rows, extend = [], calibration.extend
 
     def counting(sig, increments, level):
         rows.append(np.prod(np.shape(increments)[:-1]))
         return extend(sig, increments, level)
 
-    monkeypatch.setattr(model_module, "extend", counting)
+    monkeypatch.setattr(calibration, "extend", counting)
     data = random_unit_sequences(rng, 7, 4, 3)
     build_design(data, 2, level=2, bins=4, window=2)
     assert sum(rows) == 7
@@ -444,14 +479,15 @@ def test_fit_designs_are_its_models_designs(rng):
     # raw data off [0,1]: the fit rescales through to_unit, whose clamp never fires on it
     data = [3.0 * x - 1.0 for x in random_unit_sequences(rng, 30, 4, 2)]
     cfg = TrainConfig(level=2, bins=4, window=2, max_iters=5)
-    scaled, designs = _prepare(data, cfg)
+    scaled, design = _prepare(data, cfg)
     model, _ = fit(data, cfg)
     lo, hi = np.min(data, axis=(0, 1)), np.max(data, axis=(0, 1))
     assert model.scale_min.tobytes() == lo.tobytes() and model.scale_max.tobytes() == hi.tobytes()
     assert np.array_equal(scaled.params, np.zeros_like(model.params))
     unit = [(x - lo) / (hi - lo) for x in data]  # the rescale written out
-    for i, (feats, cbin) in enumerate(designs, start=1):
-        for want_feats, want_cbin in (_designs(model, data, i), build_design(unit, i, 2, 4, 2)):
+    for i in (1, 2):
+        feats, cbin = design(i)
+        for want_feats, want_cbin in (_designs(model, data)(i), build_design(unit, i, 2, 4, 2)):
             assert feats.tobytes() == want_feats.tobytes()
             assert cbin.tobytes() == want_cbin.tobytes()
 

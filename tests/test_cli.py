@@ -193,6 +193,17 @@ class TestExitCodes:
     def test_invalid_config_value_is_usage_error(self, tmp_path, series_csv):
         assert run("fit", "--data", series_csv, "--learning-rate", "-1") == 1
 
+    @pytest.mark.parametrize("level", [40, 1000])
+    def test_level_whose_feature_count_overflows_is_a_named_data_error(self, tmp_path, series_csv,
+                                                                       capsys, level):
+        # 3**40 words of length 40 over time + 2 channels exceed int64 before anything is allocated
+        code = run("fit", "--data", series_csv, "--level", level, "--n-seeds", 1, "--output-model",
+                   tmp_path / "model.json", "--output-report", tmp_path / "report.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: level {level}: feature_count(3, {level}) exceeds 64-bit range" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_range_whose_width_overflows_is_a_named_data_error(self, tmp_path, rng, capsys):
         path = tmp_path / "wide.csv"
         series = rng.random((40, 2))
