@@ -16,7 +16,6 @@ from .calibration import (
 )
 from .evaluation import (
     EvaluationReport,
-    MetricReport,
     abs_return_acf,
     acf,
     cross_correlation,

@@ -85,10 +85,10 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails every comparison
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.reg_lambda < np.inf:
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
         if self.max_iters < 1 or self.patience < 1:

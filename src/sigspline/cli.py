@@ -214,7 +214,7 @@ def cmd_evaluate(config: dict) -> None:
     _require_counts(config, batch=1, horizon=evaluation.MIN_HORIZON, seeds=1, seed=0)
     series = dataio.read_series_csv(_require(config, "data"))
     if config["model"] is None:
-        report = evaluation.self_evaluation_report(series, include_abs_acf=config["abs_acf"])
+        report = evaluation.self_evaluation(series, include_abs_acf=config["abs_acf"])
     else:
         fitted = model_mod.load_model(config["model"])
         report = evaluation.evaluate(

@@ -46,9 +46,12 @@ def read_series_csv(path) -> np.ndarray:
     """The (n, d) values of a series file; the ``t`` column is dropped."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
-    header = lines[0].split(",")[0] if lines else "t"  # an empty file has no header to check
-    if header != "t":
-        raise ValueError(f"{path}: expected header starting with 't', got {header!r}")
+    header = lines[0].split(",") if lines else ["t"]  # an empty file has no header to check
+    if header[0] != "t":
+        raise ValueError(f"{path}: expected header starting with 't', got {header[0]!r}")
     if len(lines) < 2:
         raise ValueError(f"{path}: no data rows")
-    return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)[:, 1:]
+    table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path}: header has {len(header)} fields, rows have {table.shape[1]}")
+    return table[:, 1:]

@@ -3,8 +3,9 @@
 For both the level and the first-difference (return) process the harness
 compares autocorrelation at lags 1 and 2, skewness, kurtosis, and the
 cross-correlation matrix; absolute-return autocorrelation (a volatility
-clustering probe) is optional. The discrepancy per statistic is the l1 norm
-of the componentwise difference, aggregated mean +/- std across seeds.
+clustering probe) is optional. :func:`compare_statistics` builds the one report,
+:class:`EvaluationReport`: per statistic, the l1 norm of the componentwise
+difference from each generated set (one per seed), aggregated mean +/- std.
 
 A generated batch is treated as independent realizations sharing a pooled
 mean: the lag-l autocovariance averages pair products over sum_s (n_s - l)
@@ -133,52 +134,16 @@ def dataset_statistics(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -
 
 
 @dataclass
-class MetricEntry:
-    real: np.ndarray
-    generated: np.ndarray
-    discrepancy: float
-
-
-@dataclass
-class MetricReport:
-    """Per-statistic (real, generated, l1 discrepancy) triples."""
-
-    entries: dict[str, MetricEntry]
-
-    def discrepancies(self) -> dict[str, float]:
-        return {name: e.discrepancy for name, e in self.entries.items()}
-
-
-def compare_statistics(real: dict, generated: dict) -> MetricReport:
-    if real.keys() != generated.keys():
-        raise ValueError("statistic sets differ between the two datasets")
-    entries = {}
-    for name in real:
-        r, g = np.asarray(real[name]), np.asarray(generated[name])
-        entries[name] = MetricEntry(r, g, float(np.abs(r - g).sum()))
-    return MetricReport(entries)
-
-
-def self_evaluation(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -> MetricReport:
-    """Compare a dataset against itself; every discrepancy is exactly zero."""
-    stats = dataset_statistics(data, lags, include_abs_acf)
-    return compare_statistics(stats, stats)
-
-
-def self_evaluation_report(data, include_abs_acf: bool = False) -> "EvaluationReport":
-    """:func:`self_evaluation` packaged in the aggregated report shape."""
-    stats = dataset_statistics(data, DEFAULT_LAGS, include_abs_acf)
-    return _aggregate(stats, [compare_statistics(stats, stats)], horizon=0, batch=0)
-
-
-@dataclass
 class EvaluationReport:
-    """Seed-aggregated comparison of model samples against real data."""
+    """What :func:`compare_statistics` returns; horizon and batch are 0 for a self-evaluation."""
 
     statistics: dict[str, dict]
     n_seeds: int
     horizon: int
     batch: int
+
+    def discrepancies(self) -> dict[str, float]:
+        return {name: vals["discrepancy_mean"] for name, vals in self.statistics.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -191,6 +156,30 @@ class EvaluationReport:
                 for name, vals in self.statistics.items()
             },
         }
+
+
+def compare_statistics(real: dict, *generated: dict, horizon=0, batch=0) -> EvaluationReport:
+    """Each statistic's l1 discrepancy from every generated set (one per seed), seed-aggregated."""
+    if not generated or any(real.keys() != g.keys() for g in generated):
+        raise ValueError("need one or more generated statistic sets with the real set's names")
+    statistics = {}
+    for name in real:
+        r, gens = np.asarray(real[name]), [np.asarray(g[name]) for g in generated]
+        discs = [float(np.abs(r - g).sum()) for g in gens]
+        statistics[name] = {
+            "real": real[name],
+            "generated_mean": np.mean(gens, axis=0),
+            "discrepancy_mean": float(np.mean(discs)),
+            "discrepancy_std": float(np.std(discs, ddof=1)) if len(discs) > 1 else 0.0,
+            "per_seed_discrepancy": discs,
+        }
+    return EvaluationReport(statistics, len(generated), horizon, batch)
+
+
+def self_evaluation(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -> EvaluationReport:
+    """Compare a dataset against itself; every discrepancy is exactly zero."""
+    stats = dataset_statistics(data, lags, include_abs_acf)
+    return compare_statistics(stats, stats)
 
 
 def evaluate(
@@ -215,24 +204,8 @@ def evaluate(
     for s in range(seeds):
         rng = np.random.default_rng([base_seed, s])
         generated = sample_from_series(model, real, batch, horizon, rng)
-        gen_stats = dataset_statistics(generated, include_abs_acf=include_abs_acf)
-        per_seed.append(compare_statistics(real_stats, gen_stats))
-    return _aggregate(real_stats, per_seed, horizon, batch)
-
-
-def _aggregate(real_stats: dict, per_seed: list[MetricReport], horizon: int, batch: int):
-    """Seed mean and spread of each statistic's discrepancy, in an :class:`EvaluationReport`."""
-    statistics = {}
-    for name in real_stats:
-        discs = [r.entries[name].discrepancy for r in per_seed]
-        statistics[name] = {
-            "real": real_stats[name],
-            "generated_mean": np.mean([r.entries[name].generated for r in per_seed], axis=0),
-            "discrepancy_mean": float(np.mean(discs)),
-            "discrepancy_std": float(np.std(discs, ddof=1)) if len(per_seed) > 1 else 0.0,
-            "per_seed_discrepancy": [float(v) for v in discs],
-        }
-    return EvaluationReport(statistics, len(per_seed), horizon, batch)
+        per_seed.append(dataset_statistics(generated, include_abs_acf=include_abs_acf))
+    return compare_statistics(real_stats, *per_seed, horizon=horizon, batch=batch)
 
 
 def format_table(reports: dict[str, EvaluationReport] | EvaluationReport) -> str:

@@ -439,6 +439,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="newton", reg_kind="l1")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rates_and_weights_rejected(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=value)
+        with pytest.raises(ValueError, match="reg_lambda must be finite and >= 0"):
+            TrainConfig(reg_kind="l2", reg_lambda=value)
+
 
 def test_loss_matches_log_likelihood_up_to_constant(rng):
     # loss drops the d*ln(N) uniform-density constant that log_likelihood carries

@@ -182,6 +182,22 @@ class TestExitCodes:
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "absent.csv") == 2
 
+    @pytest.mark.parametrize("command", ["fit", "sample", "evaluate"])
+    def test_header_wider_than_rows_is_a_named_data_error(self, tmp_path, series_csv, capsys,
+                                                          command):
+        model, _ = fit_small_model(tmp_path, series_csv, max_iters=2, n_seeds=1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,ch1,ch2\n" + "".join(f"{t},{t / 10}\n" for t in range(40)))
+        outputs = {"fit": ["--output-model", tmp_path / "m.json", "--output-report",
+                           tmp_path / "r.json"],
+                   "sample": ["--model", model, "--output", tmp_path / "s.csv"],
+                   "evaluate": ["--output-json", tmp_path / "e.json", "--output-table",
+                                tmp_path / "e.txt"]}
+        capsys.readouterr()
+        assert run(command, "--data", bad, *outputs[command]) == 2
+        assert (f"data error: {bad}: header has 3 fields, rows have 2"
+                in capsys.readouterr().err)
+
     def test_missing_required_setting_is_usage_error(self):
         assert run("fit") == 1
 
@@ -255,6 +271,29 @@ def test_negative_seed_from_a_file_is_a_usage_error(tmp_path, capsys, command):
     config.write_text(json.dumps({"seed": -1}))
     assert run(command, "--config", config) == 1
     assert "usage error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,loaded",
+    [
+        (["--learning-rate", "nan"], {}),
+        (["--learning-rate", "inf"], {}),
+        (["--reg-kind", "l2", "--reg-lambda", "inf"], {}),
+        (["--reg-kind", "l2", "--reg-lambda", "nan"], {}),
+        ([], {"learning_rate": float("nan")}),
+        ([], {"reg_kind": "l2", "reg_lambda": float("inf")}),
+    ],
+)
+def test_non_finite_training_settings_are_usage_errors(tmp_path, capsys, flags, loaded):
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(loaded))  # writes Python's NaN and Infinity JSON extensions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the data file does not exist: the settings are refused before it is read
+        code = run("fit", "--config", config, "--data", tmp_path / "absent.csv", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be" in err and "finite" in err
 
 
 def test_running_out_of_memory_is_a_data_error(tmp_path, series_csv, capsys, monkeypatch):

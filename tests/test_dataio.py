@@ -47,6 +47,17 @@ def test_header_must_start_with_t(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("text,counts", [
+    ("t,ch1,ch2\n0,1.5\n1,2.5\n", "header has 3 fields, rows have 2"),
+    ("t,ch1\n0,1.5,3.5\n1,2.5,4.5\n", "header has 2 fields, rows have 3"),
+])
+def test_header_and_rows_must_agree_on_field_count(tmp_path, text, counts):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"series.csv: {counts}"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "t,ch1,ch2\n", "t,ch1\n\n# c\n"])
 def test_no_data_rows(tmp_path, text):
     path = tmp_path / "series.csv"

@@ -11,7 +11,6 @@ from sigspline.evaluation import (
     format_table,
     kurtosis,
     self_evaluation,
-    self_evaluation_report,
     skewness,
 )
 from sigspline.model import zero_model
@@ -212,13 +211,38 @@ class TestComparisons:
         b = dataset_statistics(rng.random((100, 2)))
         report = compare_statistics(a, b)
         lag1 = np.abs(a["level_acf_lag1"] - b["level_acf_lag1"]).sum()
-        assert report.entries["level_acf_lag1"].discrepancy == pytest.approx(lag1, abs=1e-15)
+        assert report.discrepancies()["level_acf_lag1"] == pytest.approx(lag1, abs=1e-15)
 
     def test_mismatched_keys_rejected(self, rng):
         a = dataset_statistics(rng.random((50, 2)))
         b = dataset_statistics(rng.random((50, 2)), include_abs_acf=True)
         with pytest.raises(ValueError):
             compare_statistics(a, b)
+
+    def test_seed_aggregation_by_hand(self):
+        real = {"acf": np.array([1.0, 2.0]), "corr": np.array([[0.5]])}
+        g1 = {"acf": np.array([1.5, 1.0]), "corr": np.array([[0.5]])}  # l1: 1.5, 0.0
+        g2 = {"acf": np.array([0.0, 2.0]), "corr": np.array([[1.5]])}  # l1: 1.0, 1.0
+        report = compare_statistics(real, g1, g2, horizon=5, batch=7)
+        assert (report.n_seeds, report.horizon, report.batch) == (2, 5, 7)
+        acf_row, corr_row = report.statistics["acf"], report.statistics["corr"]
+        assert acf_row["real"] is real["acf"]
+        assert np.array_equal(acf_row["generated_mean"], [0.75, 1.5])
+        assert np.array_equal(corr_row["generated_mean"], [[1.0]])
+        assert acf_row["per_seed_discrepancy"] == [1.5, 1.0]
+        assert corr_row["per_seed_discrepancy"] == [0.0, 1.0]
+        assert report.discrepancies() == {"acf": 1.25, "corr": 0.5}
+        assert acf_row["discrepancy_std"] == pytest.approx(np.sqrt(0.125), abs=1e-15)
+        assert corr_row["discrepancy_std"] == pytest.approx(np.sqrt(0.5), abs=1e-15)
+
+    def test_one_generated_set_has_zero_spread(self):
+        real, generated = {"acf": np.array([1.0, 2.0])}, {"acf": np.array([1.5, 1.0])}
+        report = compare_statistics(real, generated)
+        assert report.n_seeds == 1
+        assert report.statistics["acf"]["per_seed_discrepancy"] == [1.5]
+        assert report.statistics["acf"]["discrepancy_std"] == 0.0
+        with pytest.raises(ValueError, match="one or more generated"):
+            compare_statistics(real)
 
 
 class TestEvaluate:
@@ -268,7 +292,7 @@ class TestEvaluate:
         assert set(doc["statistics"]) == EXPECTED_KEYS
 
     def test_self_evaluation_report_shape(self, rng):
-        report = self_evaluation_report(rng.random((100, 2)))
+        report = self_evaluation(rng.random((100, 2)))
         assert all(v["discrepancy_mean"] == 0.0 for v in report.statistics.values())
         table = format_table(report)
         assert "level_acf_lag1" in table and "kurtosis" in table
