@@ -426,14 +426,11 @@ def _fit_coordinate(feats, cbin, train_idx, test_idx, cfg: TrainConfig, newton=N
 
 
 def _prepare(dataset, cfg: TrainConfig):
-    """Check Newton's Hessian size, then return the zero-coefficient model that carries the
-    dataset's per-channel [0,1] rescale, and the designs of its ``to_unit`` map (one read)."""
+    """Check Newton's Hessian size, then return the zero-coefficient model that carries (and
+    checks) the dataset's per-channel [0,1] map, and the designs of its ``to_unit`` map."""
     stacks = _stacks(dataset)
     lo = np.min([stack.min(axis=(0, 1)) for _, stack in stacks], axis=0)
     hi = np.max([stack.max(axis=(0, 1)) for _, stack in stacks], axis=0)
-    flat = np.flatnonzero(hi <= lo)
-    if flat.size:
-        raise ValueError(f"channel {flat[0] + 1} is constant; cannot rescale to [0,1]")
     d, k = len(lo), feature_count(1 + len(lo), cfg.level)
     if cfg.optimizer == "newton":
         _check_hessian_size(cfg.bins, k)

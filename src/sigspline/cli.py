@@ -110,6 +110,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise UsageError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
         unknown = set(loaded) - set(config)
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")

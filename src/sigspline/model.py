@@ -13,10 +13,10 @@ Conditioning signatures, but ``sample_step``'s and the fit's, come from ``condit
 A batch of windows is one array: ``sliding_windows`` cuts a series into an
 (M, length, d) stack, and ``SigSplineModel.params`` is one (d, bins, K) array.
 
-Model-facing sequences live in [0,1]^d. The model optionally carries a
-per-channel min/max affine rescaling fitted on training data; ``to_unit`` /
-``from_unit`` convert raw data, and out-of-range raw values are clamped
-just inside (0,1).
+Model-facing sequences live in [0,1]^d. Every model carries a per-channel
+min/max affine map onto [0,1], fitted on training data or, when none is given,
+the identity map of [0,1]; ``to_unit`` / ``from_unit`` convert raw data, and
+out-of-range raw values are clamped just inside (0,1).
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class SigSplineModel:
     params is one (d, bins, K) float array, K = feature_count(1+d, level);
     params[i-1] is coordinate i's writable bins x K matrix. window limits
     conditioning to the last ``window`` observations (None = full history).
-    scale_min/scale_max hold the per-channel affine rescaling of raw data onto
-    [0,1]; both None means inputs are already unit-scaled.
+    scale_min/scale_max hold the per-channel affine map of raw data onto [0,1]; given
+    together or not at all, they default to the identity map (zeros, ones) and are
+    (d,) arrays after construction.
     """
 
     d: int
@@ -76,15 +77,20 @@ class SigSplineModel:
         self.params = params
         if (self.scale_min is None) != (self.scale_max is None):
             raise ValueError("scale_min and scale_max must be set together")
-        if self.scale_min is not None:
-            self.scale_min = np.asarray(self.scale_min, dtype=float).reshape(self.d)
-            self.scale_max = np.asarray(self.scale_max, dtype=float).reshape(self.d)
-            if not np.isfinite([self.scale_min, self.scale_max]).all():
-                raise ValueError(f"scale_min {self.scale_min.tolist()} and scale_max "
-                                 f"{self.scale_max.tolist()} must be finite")
-            if np.any(self.scale_max <= self.scale_min):
-                raise ValueError("scale_max must exceed scale_min per channel")
-            _channel_widths(self.scale_min, self.scale_max)
+        if self.scale_min is None:
+            self.scale_min, self.scale_max = np.zeros(self.d), np.ones(self.d)
+        self.scale_min = np.asarray(self.scale_min, dtype=float).reshape(self.d)
+        self.scale_max = np.asarray(self.scale_max, dtype=float).reshape(self.d)
+        if not np.isfinite([self.scale_min, self.scale_max]).all():
+            raise ValueError(f"scale_min {self.scale_min.tolist()} and scale_max "
+                             f"{self.scale_max.tolist()} must be finite")
+        with np.errstate(over="ignore"):
+            width = self.scale_max - self.scale_min
+        bad = np.flatnonzero((width <= 0.0) | np.isinf(width))  # empty, reversed or too wide
+        if bad.size:
+            c, lo, hi = bad[0], self.scale_min, self.scale_max
+            why = "its width overflows float64" if width[c] > 0.0 else "cannot rescale it to [0,1]"
+            raise ValueError(f"channel {c + 1} spans [{lo[c]:g}, {hi[c]:g}]; {why}")
 
     @property
     def n_features(self) -> int:
@@ -92,18 +98,6 @@ class SigSplineModel:
 
     def copy(self) -> "SigSplineModel":
         return replace(self, params=self.params.copy())
-
-
-def _channel_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """hi - lo per channel; a ValueError names the first channel whose width overflows float64."""
-    with np.errstate(over="ignore"):
-        width = hi - lo
-    wide = np.flatnonzero(np.isinf(width))
-    if wide.size:
-        c = wide[0]
-        raise ValueError(f"channel {c + 1} spans [{lo[c]:g}, {hi[c]:g}]; its width overflows "
-                         "float64")
-    return width
 
 
 def zero_model(d: int, level: int, bins: int, window: int | None = None) -> SigSplineModel:
@@ -114,21 +108,15 @@ def zero_model(d: int, level: int, bins: int, window: int | None = None) -> SigS
 def to_unit(model: SigSplineModel, x) -> np.ndarray:
     """Map raw data onto [0,1]^d with the model's per-channel affine state.
 
-    Values outside the fitted range land at CLAMP_EPS / 1 - CLAMP_EPS.
+    Values outside [scale_min, scale_max] land at CLAMP_EPS / 1 - CLAMP_EPS.
     """
-    arr = as_paths(x)
-    if model.scale_min is None:
-        return arr
-    z = (arr - model.scale_min) / (model.scale_max - model.scale_min)
+    z = (as_paths(x) - model.scale_min) / (model.scale_max - model.scale_min)
     return np.where(z < 0.0, CLAMP_EPS, np.where(z > 1.0, 1.0 - CLAMP_EPS, z))
 
 
 def from_unit(model: SigSplineModel, x) -> np.ndarray:
     """Inverse of :func:`to_unit` on in-range values."""
-    arr = as_paths(x)
-    if model.scale_min is None:
-        return arr
-    return model.scale_min + arr * (model.scale_max - model.scale_min)
+    return model.scale_min + as_paths(x) * (model.scale_max - model.scale_min)
 
 
 def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
@@ -296,8 +284,8 @@ def model_to_dict(model: SigSplineModel) -> dict:
         "level": model.level,
         "bins": model.bins,
         "window": model.window,
-        "scale_min": None if model.scale_min is None else model.scale_min.tolist(),
-        "scale_max": None if model.scale_max is None else model.scale_max.tolist(),
+        "scale_min": model.scale_min.tolist(),
+        "scale_max": model.scale_max.tolist(),
         "coefficients": base64.b64encode(np.asarray(model.params, "<f8").tobytes()).decode("ascii"),
     }
 
@@ -342,8 +330,8 @@ def model_from_dict(doc: dict) -> SigSplineModel:
         bins=bins,
         params=np.frombuffer(raw, dtype="<f8").reshape(d, bins, k).astype(float),  # owned, writable
         window=doc["window"],
-        scale_min=None if doc["scale_min"] is None else np.asarray(doc["scale_min"]),
-        scale_max=None if doc["scale_max"] is None else np.asarray(doc["scale_max"]),
+        scale_min=doc["scale_min"],  # null, as older files hold, is the identity map
+        scale_max=doc["scale_max"],
     )
 
 

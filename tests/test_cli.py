@@ -198,6 +198,14 @@ class TestExitCodes:
         assert (f"data error: {bad}: header has 3 fields, rows have 2"
                 in capsys.readouterr().err)
 
+    def test_rows_that_disagree_are_a_named_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("t,ch1,ch2\n0,1,2\n1,2,3,4\n")
+        assert run("evaluate", "--data", bad, "--output-json", tmp_path / "e.json",
+                   "--output-table", tmp_path / "e.txt") == 2
+        assert (f"data error: {bad}: line 3 has 4 fields, line 2 has 3"
+                in capsys.readouterr().err)
+
     def test_missing_required_setting_is_usage_error(self):
         assert run("fit") == 1
 
@@ -271,6 +279,19 @@ def test_negative_seed_from_a_file_is_a_usage_error(tmp_path, capsys, command):
     config.write_text(json.dumps({"seed": -1}))
     assert run(command, "--config", config) == 1
     assert "usage error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "sample", "evaluate"])
+@pytest.mark.parametrize("text,kind", [("null", "NoneType"), ("3", "int"), ("[]", "list"),
+                                       ('["n_lags"]', "list"), ('"abc"', "str")])
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                       text, kind):
+    monkeypatch.chdir(tmp_path)  # nothing is written, but a missed check would write here
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(command, "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: config file {config} must hold a JSON object, got {kind}\n"
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,18 @@ def test_header_and_rows_must_agree_on_field_count(tmp_path, text, counts):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("text,where", [
+    ("t,ch1,ch2\n0,1,2\n1,2,3,4\n", "line 3 has 4 fields, line 2 has 3"),
+    ("# c\nt,ch1,ch2\n0,1,2\n\n1,2\n", "line 5 has 2 fields, line 3 has 3"),
+])
+def test_rows_must_agree_on_field_count(tmp_path, text, where):
+    # line numbers count the file's comment and blank lines
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"series.csv: {where}$"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "t,ch1,ch2\n", "t,ch1\n\n# c\n"])
 def test_no_data_rows(tmp_path, text):
     path = tmp_path / "series.csv"
