@@ -1,11 +1,12 @@
 """Command-line pipeline: simulate -> fit -> sample -> evaluate.
 
 Each subcommand's settings are declared once, in ``SETTINGS``, as
-``setting -> (default, help)``. The table builds every flag (``--n-lags`` sets
-``n_lags``; its type is the default's, a bool is a switch, a setting in
-``CHOICES`` takes the owning module's choice list, and ``--help`` shows the
-default), ``DEFAULTS`` and, for ``fit``, the ``TrainConfig``. Fit defaults come
-from ``TrainConfig()`` (except ``window``, 3 here), simulate defaults from
+``setting -> (default, help[, minimum])``, a count with its minimum. The table
+builds every flag (``--n-lags`` sets ``n_lags``; its type is the default's, a
+bool is a switch, a setting in ``CHOICES`` takes the owning module's choice
+list, and ``--help`` shows the default), ``DEFAULTS``, each count's check and,
+for ``fit``, the ``TrainConfig``. Fit defaults come from ``TrainConfig()``
+(except ``window``, 3 here), simulate defaults from
 ``synthetic.benchmark_var_spec()``; the VAR matrices are config-file keys only.
 
 Each subcommand reads one JSON config (``--config``); flags override file
@@ -45,11 +46,11 @@ class _Parser(argparse.ArgumentParser):
 _TRAIN = calibration.TrainConfig()
 _VAR = synthetic.benchmark_var_spec()
 
-# setting -> (default, help); a help of None makes the setting a config-file key only
+# setting -> (default, help[, minimum]); a help of None makes the setting a config-file key only
 SETTINGS = {
     "simulate": {
-        "n_lags": (_VAR.n_lags, "steps to keep"),
-        "seed": (_VAR.rng_seed, "RNG seed"),
+        "n_lags": (_VAR.n_lags, "steps to keep", 1),
+        "seed": (_VAR.rng_seed, "RNG seed", 0),
         "w1": (_VAR.w1.tolist(), None),
         "w2": (_VAR.w2.tolist(), None),
         "sigma": (_VAR.sigma.tolist(), None),
@@ -61,7 +62,7 @@ SETTINGS = {
         "data": (None, "input series CSV"),
         "level": (_TRAIN.level, "signature truncation order"),
         "bins": (_TRAIN.bins, "spline bins N"),
-        "window": (3, "conditioning window r"),
+        "window": (3, "conditioning window r", 1),
         "learning_rate": (_TRAIN.learning_rate, "gradient step size"),
         "max_iters": (_TRAIN.max_iters, "iteration cap"),
         "patience": (_TRAIN.patience, "early-stopping patience"),
@@ -69,26 +70,26 @@ SETTINGS = {
         "reg_lambda": (_TRAIN.reg_lambda, "penalty weight"),
         "optimizer": (_TRAIN.optimizer, "optimizer"),
         "train_fraction": (_TRAIN.train_fraction, "train split fraction"),
-        "seed": (_TRAIN.rng_seed, "base split seed"),
-        "n_seeds": (10, "number of calibration seeds"),
+        "seed": (_TRAIN.rng_seed, "base split seed", 0),
+        "n_seeds": (10, "number of calibration seeds", 1),
         "output_model": ("model.json", "model JSON path"),
         "output_report": ("fit_report.json", "report JSON path"),
     },
     "sample": {
         "model": (None, "fitted model JSON"),
         "data": (None, "series CSV providing conditioning histories"),
-        "batch": (128, "number of sequences"),
-        "horizon": (4, "steps per sequence"),
-        "seed": (0, "RNG seed"),
+        "batch": (128, "number of sequences", 1),
+        "horizon": (4, "steps per sequence", 1),
+        "seed": (0, "RNG seed", 0),
         "output": ("samples.csv", "output CSV path"),
     },
     "evaluate": {
         "model": (None, "fitted model JSON; omit for self-evaluation"),
         "data": (None, "real series CSV"),
-        "batch": (512, "sequences per seed"),
-        "horizon": (4, "steps per sequence"),
-        "seeds": (10, "evaluation seeds"),
-        "seed": (0, "base RNG seed"),
+        "batch": (512, "sequences per seed", 1),
+        "horizon": (4, "steps per sequence", evaluation.MIN_HORIZON),
+        "seeds": (10, "evaluation seeds", 1),
+        "seed": (0, "base RNG seed", 0),
         "abs_acf": (False, "include absolute-return ACF statistics"),
         "output_json": ("evaluation.json", "JSON report path"),
         "output_table": ("evaluation.txt", "text table path"),
@@ -96,7 +97,7 @@ SETTINGS = {
 }
 CHOICES = {"map": synthetic.MAPS, "reg_kind": calibration.REG_KINDS,
            "optimizer": calibration.OPTIMIZERS}
-DEFAULTS = {command: {key: default for key, (default, _) in table.items()}
+DEFAULTS = {command: {key: row[0] for key, row in table.items()}
             for command, table in SETTINGS.items()}
 
 
@@ -143,15 +144,8 @@ def _require(config: dict, key: str) -> str:
     return config[key]
 
 
-def _require_counts(config: dict, **minimums: int) -> None:
-    for key, low in minimums.items():
-        if not isinstance(config[key], int) or config[key] < low:
-            raise UsageError(f"{key} must be an integer >= {low}, got {config[key]!r}")
-
-
 def cmd_simulate(config: dict) -> None:
     """Simulate the VAR(2) benchmark series."""
-    _require_counts(config, n_lags=1, seed=0)
     spec = synthetic.VarSpec(
         w1=np.asarray(config["w1"], dtype=float),
         w2=np.asarray(config["w2"], dtype=float),
@@ -174,7 +168,6 @@ def _train_config(config: dict) -> calibration.TrainConfig:
 
 def cmd_fit(config: dict) -> None:
     """Calibrate a model on a series CSV."""
-    _require_counts(config, window=1, n_seeds=1, seed=0)
     try:
         train_cfg = _train_config(config)
     except ValueError as exc:
@@ -203,7 +196,6 @@ def cmd_fit(config: dict) -> None:
 
 def cmd_sample(config: dict) -> None:
     """Sample conditioned paths from a fitted model."""
-    _require_counts(config, batch=1, horizon=1, seed=0)
     fitted = model_mod.load_model(_require(config, "model"))
     series = dataio.read_series_csv(_require(config, "data"))
     rng = np.random.default_rng(config["seed"])
@@ -214,7 +206,6 @@ def cmd_sample(config: dict) -> None:
 
 def cmd_evaluate(config: dict) -> None:
     """Compare model samples against real data."""
-    _require_counts(config, batch=1, horizon=evaluation.MIN_HORIZON, seeds=1, seed=0)
     series = dataio.read_series_csv(_require(config, "data"))
     if config["model"] is None:
         report = evaluation.self_evaluation(series, include_abs_acf=config["abs_acf"])
@@ -254,7 +245,7 @@ def build_parser() -> _Parser:
     for command, run in _COMMANDS.items():
         sub = subs.add_parser(command, help=run.__doc__)
         sub.add_argument("--config", help="JSON config file; flags override its keys")
-        for key, (default, text) in SETTINGS[command].items():
+        for key, (default, text, *_) in SETTINGS[command].items():
             if text is None:
                 continue
             flag = "--" + key.replace("_", "-")
@@ -272,6 +263,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args.command, args)
+        for key, (_, _, *low) in SETTINGS[args.command].items():  # counts, before any file read
+            if low and config[key] < low[0]:  # _resolve_config has made every count an int
+                raise UsageError(f"{key} must be an integer >= {low[0]}, got {config[key]!r}")
         _COMMANDS[args.command](config)
         return 0
     except UsageError as exc:

@@ -53,14 +53,21 @@ def read_series_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: no data rows")
     try:
         table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # name the first data line whose field count differs from the first's
-        with open(path, "r", encoding="utf-8") as fh:  # (file line number, field count) pairs
-            rows = [(at, line.count(",") + 1) for at, line in enumerate(map(str.strip, fh), 1)
-                    if line and not line.startswith("#")][1:]
-        ragged = [row for row in rows if row[1] != rows[0][1]]
+    except ValueError:  # name the first data line whose field count differs from the first's,
+        with open(path, "r", encoding="utf-8") as fh:  # else the first field that is no number
+            rows = [(at, line.split(",")) for at, line in enumerate(map(str.strip, fh), 1)
+                    if line and not line.startswith("#")][1:]  # (file line number, fields)
+        ragged = [(at, len(row)) for at, row in rows if len(row) != len(rows[0][1])]
         if ragged:
             raise ValueError(f"{path}: line {ragged[0][0]} has {ragged[0][1]} fields, line "
-                             f"{rows[0][0]} has {rows[0][1]}") from None
+                             f"{rows[0][0]} has {len(rows[0][1])}") from None
+        for at, row in rows:
+            for column, text in enumerate(row, 1):
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(f"{path}: line {at} field {column} is not a number: "
+                                     f"{text.strip()!r}") from None
         raise
     if table.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} fields, rows have {table.shape[1]}")

@@ -79,8 +79,11 @@ class SigSplineModel:
             raise ValueError("scale_min and scale_max must be set together")
         if self.scale_min is None:
             self.scale_min, self.scale_max = np.zeros(self.d), np.ones(self.d)
-        self.scale_min = np.asarray(self.scale_min, dtype=float).reshape(self.d)
-        self.scale_max = np.asarray(self.scale_max, dtype=float).reshape(self.d)
+        for key in ("scale_min", "scale_max"):
+            v = np.asarray(getattr(self, key), dtype=float)
+            if v.size != self.d:
+                raise ValueError(f"{key} has {v.size} entries; the model has d={self.d} channels")
+            setattr(self, key, v.reshape(self.d))
         if not np.isfinite([self.scale_min, self.scale_max]).all():
             raise ValueError(f"scale_min {self.scale_min.tolist()} and scale_max "
                              f"{self.scale_max.tolist()} must be finite")

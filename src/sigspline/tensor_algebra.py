@@ -22,30 +22,25 @@ _INT64_MAX = np.iinfo(np.int64).max
 Word = tuple[int, ...]
 
 
-def feature_count(alphabet_size: int, level: int) -> int:
-    """Number of words of length <= level, i.e. sum_{k=0}^{L} e^k."""
+def _level_offsets(alphabet_size: int, level: int) -> list[int]:
+    """offsets[k] = index of the first length-k word; offsets[L+1] = feature_count(e, L)."""
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    total = 0
-    power = 1
-    for _ in range(level + 1):
-        total += power
-        if total > _INT64_MAX:
-            raise OverflowError(
-                f"level {level}: feature_count({alphabet_size}, {level}) exceeds 64-bit range"
-            )
-        power *= alphabet_size
-    return total
-
-
-def _level_offsets(alphabet_size: int, level: int) -> list[int]:
-    # offsets[k] = index of the first length-k word; offsets[L+1] = total size
     offsets = [0]
     for k in range(level + 1):
         offsets.append(offsets[-1] + alphabet_size**k)
+        if offsets[-1] > _INT64_MAX:
+            raise OverflowError(
+                f"level {level}: feature_count({alphabet_size}, {level}) exceeds 64-bit range"
+            )
     return offsets
+
+
+def feature_count(alphabet_size: int, level: int) -> int:
+    """Number of words of length <= level, i.e. sum_{k=0}^{L} e^k."""
+    return _level_offsets(alphabet_size, level)[-1]
 
 
 def word_to_index(word: Word, alphabet_size: int, level: int) -> int:
@@ -65,15 +60,11 @@ def word_to_index(word: Word, alphabet_size: int, level: int) -> int:
 
 def index_to_word(index: int, alphabet_size: int, level: int) -> Word:
     """Inverse of :func:`word_to_index`."""
-    total = feature_count(alphabet_size, level)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} outside [0, {total})")
-    k = 0
-    offset = 0
-    while index >= offset + alphabet_size**k:
-        offset += alphabet_size**k
-        k += 1
-    rank = index - offset
+    offsets = _level_offsets(alphabet_size, level)
+    if not 0 <= index < offsets[-1]:
+        raise ValueError(f"index {index} outside [0, {offsets[-1]})")
+    k = next(k for k in range(level + 1) if index < offsets[k + 1])  # the word's length
+    rank = index - offsets[k]
     letters = []
     for _ in range(k):
         rank, digit = divmod(rank, alphabet_size)

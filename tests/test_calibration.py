@@ -10,6 +10,8 @@ from sigspline.calibration import (
     TrainConfig,
     _designs,
     _fit_coordinate,
+    _penalty,
+    _penalty_grad,
     _prepare,
     _row_space_basis,
     _split_indices,
@@ -542,6 +544,37 @@ def test_gradient_descent_backtracks_instead_of_raising_the_objective(rng):
     assert report.stopped_iteration == [30, 30]
     for trace in report.train_nll:
         assert np.all(np.diff(trace) <= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_penalty_gradient_matches_finite_differences(kind, rng):
+    # entries of magnitude 0.5..1.5 keep each central difference off the l1 kink at 0
+    u = rng.choice([-1.0, 1.0], size=(3, 5)) * (0.5 + rng.random((3, 5)))
+    lam, h, numeric = 0.3, 1e-6, np.zeros_like(u)
+    for idx in np.ndindex(*u.shape):
+        step = np.zeros_like(u)
+        step[idx] = h
+        numeric[idx] = (_penalty(u + step, kind, lam) - _penalty(u - step, kind, lam)) / (2 * h)
+    np.testing.assert_allclose(_penalty_grad(u, kind, lam), numeric, rtol=1e-6, atol=1e-9)
+
+
+def test_l1_subgradient_is_zero_at_zero_entries(rng):
+    u = rng.standard_normal((3, 5))
+    u[:, ::2] = 0.0
+    grad = _penalty_grad(u, "l1", 0.3)
+    assert np.all(grad[:, ::2] == 0.0) and np.all(np.abs(grad[:, 1::2]) == 0.3)
+
+
+def test_l1_gradient_descent_fit_is_deterministic_and_never_worse_than_zero(rng):
+    # the line search accepts a step only if it keeps the training objective, NLL plus
+    # penalty, at or below the current one, which starts at the zero model's d * ln N
+    data = np.array(random_unit_sequences(rng, 30, 3, 2))
+    cfg = TrainConfig(level=1, bins=4, reg_kind="l1", reg_lambda=0.01, max_iters=6, rng_seed=3)
+    (model, report), (again, again_report) = fit(data, cfg), fit(data, cfg)
+    assert np.array_equal(model.params, again.params) and report == again_report
+    assert np.any(model.params != 0.0)
+    train, _ = _split_indices(len(data), cfg.train_fraction, np.random.default_rng(cfg.rng_seed))
+    assert regularized_loss(model, data[train], cfg.reg_lambda, "l1") <= 2 * math.log(4) + 1e-12
 
 
 def test_line_search_exhausted_on_finite_trials_stops_at_the_best_iterate(rng):

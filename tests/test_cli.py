@@ -206,6 +206,27 @@ class TestExitCodes:
         assert (f"data error: {bad}: line 3 has 4 fields, line 2 has 3"
                 in capsys.readouterr().err)
 
+    def test_a_field_that_is_not_a_number_is_a_named_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,ch1\n0,1\n1,x\n")
+        assert run("evaluate", "--data", bad, "--output-json", tmp_path / "e.json",
+                   "--output-table", tmp_path / "e.txt") == 2
+        assert (f"data error: {bad}: line 3 field 2 is not a number: 'x'"
+                in capsys.readouterr().err)
+
+    def test_model_map_of_the_wrong_length_is_a_named_data_error(self, tmp_path, series_csv,
+                                                                 capsys):
+        model, _ = fit_small_model(tmp_path, series_csv, max_iters=2, n_seeds=1)
+        doc = json.loads(model.read_text())
+        doc["scale_min"].append(0.0)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("sample", "--model", model, "--data", series_csv, "--output",
+                   tmp_path / "s.csv") == 2
+        assert ("data error: scale_min has 3 entries; the model has d=2 channels"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_required_setting_is_usage_error(self):
         assert run("fit") == 1
 

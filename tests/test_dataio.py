@@ -70,6 +70,18 @@ def test_rows_must_agree_on_field_count(tmp_path, text, where):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("text,where", [
+    ("t,ch1\n0,1\n1,x\n", "line 3 field 2 is not a number: 'x'"),
+    ("# c\nt,ch1,ch2\n0,1,2\n\n1,2,\n", "line 5 field 3 is not a number: ''"),
+])
+def test_a_field_that_is_not_a_number_is_named(tmp_path, text, where):
+    # line numbers count the file's comment and blank lines, fields count the t column
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"series.csv: {where}$"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "t,ch1,ch2\n", "t,ch1\n\n# c\n"])
 def test_no_data_rows(tmp_path, text):
     path = tmp_path / "series.csv"

@@ -121,6 +121,13 @@ class TestCrossCorrelation:
         assert np.allclose(corr, corr.T)
         assert np.all(np.abs(corr) <= 1.0 + 1e-12)
 
+    def test_one_channel_is_exactly_one(self, rng):
+        x = rng.random((50, 1))
+        assert cross_correlation(x).tolist() == [[1.0]]
+        stats = dataset_statistics(x)
+        assert stats["level_cross_correlation"].tolist() == [[1.0]]
+        assert stats["return_cross_correlation"].tolist() == [[1.0]]
+
 
 class TestAbsReturnAcf:
     def test_constant_increments_rejected(self):

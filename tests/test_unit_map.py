@@ -89,6 +89,14 @@ def test_map_must_be_given_whole():
         SigSplineModel(1, 1, 4, np.zeros((1, 4, 3)), scale_min=np.zeros(1))
 
 
+@pytest.mark.parametrize("key", ["scale_min", "scale_max"])
+def test_map_must_have_one_entry_per_channel(key):
+    lists = {"scale_min": [0.0, 0.0], "scale_max": [1.0, 1.0]}
+    lists[key].append(lists[key][0])
+    with pytest.raises(ValueError, match=f"^{key} has 3 entries; the model has d=2 channels$"):
+        SigSplineModel(2, 1, 4, np.zeros((2, 4, 4)), **lists)
+
+
 def test_fit_on_a_constant_channel_is_a_named_data_error(tmp_path, rng, capsys):
     series = rng.random((40, 2))
     series[:, 1] = 0.5
