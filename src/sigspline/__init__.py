@@ -1,7 +1,6 @@
 """Generative modelling of multivariate time series with signature features
 and piecewise-linear spline CDF flows."""
 
-from .augmentations import basepoint, conditioning_embedding, mask, time_augment
 from .calibration import (
     DivergenceError,
     FitReport,
@@ -41,7 +40,7 @@ from .model import (
     to_unit,
     zero_model,
 )
-from .signature import segment_signature, signature_of_sequence, signature_oracle, signatures
+from .signature import signatures
 from .spline import (
     bin_indicator,
     softmax,
@@ -51,14 +50,6 @@ from .spline import (
     spline_log_density,
 )
 from .synthetic import VarSpec, observe, benchmark_var_spec, pca_whiten, simulate_var2, unwhiten
-from .tensor_algebra import (
-    TruncatedTensor,
-    feature_count,
-    index_to_word,
-    inner_product,
-    tensor_product,
-    unit_tensor,
-    word_to_index,
-)
+from .tensor_algebra import feature_count
 
 __version__ = "0.1.0"

@@ -12,8 +12,10 @@ for ``fit``, the ``TrainConfig``. Fit defaults come from ``TrainConfig()``
 Each subcommand reads one JSON config (``--config``); flags override file
 keys and unknown file keys are rejected. A file value must have its default's
 type and pass the same choice check as the flag. The fully resolved config is
-echoed into every artifact the command writes. Exit codes: 0 success, 1 usage
-error, 2 data error (running out of memory included), 3 numerical failure.
+echoed into every artifact the command writes, but for self-evaluation
+(``evaluate`` without a model), which draws no samples: it drops ``batch``,
+``horizon`` and ``seeds`` unchecked. Exit codes: 0 success, 1 usage error, 2
+data error (running out of memory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -263,8 +265,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args.command, args)
+        if args.command == "evaluate" and config["model"] is None:
+            for key in ("batch", "horizon", "seeds"):  # self-evaluation draws no samples
+                del config[key]
         for key, (_, _, *low) in SETTINGS[args.command].items():  # counts, before any file read
-            if low and config[key] < low[0]:  # _resolve_config has made every count an int
+            if low and key in config and config[key] < low[0]:  # _resolve_config made counts ints
                 raise UsageError(f"{key} must be an integer >= {low[0]}, got {config[key]!r}")
         _COMMANDS[args.command](config)
         return 0

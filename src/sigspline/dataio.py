@@ -42,6 +42,17 @@ def write_batch_csv(path, sequences, comment: str | None = None) -> None:
                  comment)
 
 
+def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt``, the reader's parser, takes ``field`` as a number."""
+    if not field.strip():  # loadtxt would warn of no data rather than refuse it
+        return False
+    try:
+        np.loadtxt([field], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
 def read_series_csv(path) -> np.ndarray:
     """The (n, d) values of a series file; the ``t`` column is dropped."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -63,9 +74,7 @@ def read_series_csv(path) -> np.ndarray:
                              f"{rows[0][0]} has {len(rows[0][1])}") from None
         for at, row in rows:
             for column, text in enumerate(row, 1):
-                try:
-                    float(text)
-                except ValueError:
+                if not _is_number(text):
                     raise ValueError(f"{path}: line {at} field {column} is not a number: "
                                      f"{text.strip()!r}") from None
         raise

@@ -2,10 +2,10 @@
 
 Each data coordinate i gets an N x K matrix of linear functionals on the
 truncated signature of the conditioning path. The path fed to the signature
-is the history with the candidate next observation appended, passed through
-``conditioning_embedding`` so that the candidate's coordinates >= i are
-hidden. Softmax of the N functional values gives the bin increments of a
-piecewise-linear conditional CDF; chaining the d conditionals triangularly
+is the history with the candidate next observation appended, time-augmented,
+started at a zero basepoint, and with the candidate's coordinates >= i hidden
+(``chen_split``, ``masked_increments``). Softmax of the N functional values gives
+the bin increments of a piecewise-linear conditional CDF; chaining the d conditionals triangularly
 yields the joint density and an exact inverse-transform sampler.
 
 Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
@@ -145,10 +145,10 @@ def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
 def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Prefix signature (..., K) and last two embedded rows (..., 2, 1+d) of (..., n, d) paths.
 
-    The d masked embeddings ``conditioning_embedding(path, i)`` share all but
-    their last segment, so by Chen's identity coordinate i's signature is
-    ``extend(prefix, masked_increments(ends, i), level)``: one fold per path.
-    The embedding ``basepoint(time_augment(path))`` is written into one array and folded unchecked.
+    The d masked embeddings of a path share all but their last segment, so by Chen's identity
+    coordinate i's signature is ``extend(prefix, masked_increments(ends, i), level)``: one fold
+    per path. The embedding (zero basepoint row, then time stamps (j-1)/(n-1) as channel 1
+    beside the data) is written into one array and folded unchecked.
     """
     arr = as_paths(path)
     n, d = arr.shape[-2:]
@@ -162,9 +162,9 @@ def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def masked_increments(ends, i: int | None = None) -> np.ndarray:
     """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d), or coordinate i's alone,
-    (..., 1+d): row i - 1 ends ``conditioning_embedding(path, i)``. One lower-triangular reveal
+    (..., 1+d): row i - 1 ends coordinate i's masked embedding. One lower-triangular reveal
     mask keeps the time channel and x_<i; a hidden channel's increment is 0.0, the previous row
-    minus itself, as in ``mask``."""
+    minus itself."""
     last = ends[..., 1, :] - ends[..., 0, :]
     d = last.shape[-1] - 1
     if i is not None and not 1 <= i <= d:
@@ -175,9 +175,9 @@ def masked_increments(ends, i: int | None = None) -> np.ndarray:
 
 def conditioning_signatures(x, level: int, window: int | None, i: int | None = None) -> np.ndarray:
     """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows, or
-    coordinate i's alone (..., K): row i - 1 is ``signatures(conditioning_embedding(path, i),
-    level)`` of the window's ``conditioning_path``, from one prefix fold extended by the masked
-    last segments of ``masked_increments(ends, i)``."""
+    coordinate i's alone (..., K): row i - 1 is the signature of coordinate i's masked embedding
+    of the window's ``conditioning_path``, from one prefix fold extended by the masked last
+    segments of ``masked_increments(ends, i)``."""
     arr = as_paths(x)
     prefix, ends = chen_split(conditioning_path(arr[..., :-1, :], arr[..., -1, :], window), level)
     return extend(prefix, masked_increments(ends, i), level)

@@ -6,18 +6,15 @@ iterated integrals indexed by words over the e channels. For a linear segment
 the signature is the tensor exponential of the increment, and the signature of
 the whole sequence is the left-to-right Chen product over segments.
 
-:func:`signatures` folds (..., n, e) stacks by :func:`extend`; ``tensor_product`` is the reference.
-
-``signature_oracle`` evaluates single coefficients by direct numerical
-integration on a uniform grid. It shares no code with the exponential/Chen
-path and exists so the exact computation can be cross-checked.
+:func:`signatures` folds (..., n, e) stacks by :func:`extend`. ``tests/reference.py`` holds the
+per-sample ``tensor_product`` that both are checked against, and a numerical ``signature_oracle``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor_algebra import TruncatedTensor, Word, _level_offsets, feature_count
+from .tensor_algebra import _level_offsets, feature_count
 
 CHUNK_ROWS = 128  # sequences folded at once; bounds the fold's temporaries
 
@@ -106,48 +103,3 @@ def extend(sig, increments, level: int) -> np.ndarray:
     if not moved.all():
         np.copyto(prod, sig, where=~moved[..., None])
     return prod
-
-
-def segment_signature(increment, level: int) -> TruncatedTensor:
-    """Tensor exponential of one linear segment.
-
-    The coefficient at a word w of length k is prod_j increment[w_j] / k!.
-    """
-    inc = np.asarray(increment, dtype=float)
-    if inc.ndim != 1 or inc.size < 1:
-        raise ValueError(f"increment must be a 1-d vector, got shape {inc.shape}")
-    return TruncatedTensor(inc.size, level, signatures(np.stack([np.zeros_like(inc), inc]), level))
-
-
-def signature_of_sequence(x, level: int) -> TruncatedTensor:
-    """Truncated signature of the piecewise-linear embedding of ``x``."""
-    arr = as_sequence(x)
-    return TruncatedTensor(arr.shape[1], level, signatures(arr, level))
-
-
-def signature_oracle(x, word: Word, steps: int = 1000) -> float:
-    """Numerical iterated integral of ``x`` at one word.
-
-    Integrates recursively on a uniform grid of ``steps`` intervals with the
-    trapezoid rule: I_0 = 1 and I_j(t) = int_0^t I_{j-1}(s) dX_{s, w_j}.
-    Converges to the exact coefficient as steps grows.
-    """
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
-    arr = as_sequence(x)
-    word = tuple(word)
-    if not word:
-        return 1.0
-    n, e = arr.shape
-    for letter in word:
-        if not 1 <= letter <= e:
-            raise ValueError(f"letter {letter} outside alphabet [1..{e}]")
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    knots = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    grid = np.column_stack([np.interp(ts, knots, arr[:, c]) for c in range(e)])
-    integral = np.ones(steps + 1)
-    for letter in word:
-        dx = np.diff(grid[:, letter - 1])
-        increments = 0.5 * (integral[:-1] + integral[1:]) * dx
-        integral = np.concatenate(([0.0], np.cumsum(increments)))
-    return float(integral[-1])

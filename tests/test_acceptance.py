@@ -29,11 +29,11 @@ from sigspline.evaluation import (
     skewness,
 )
 from sigspline.model import conditional_increments, log_likelihood, parameter_count
-from sigspline.signature import signature_of_sequence, signature_oracle
 from sigspline.spline import softmax, spline_cdf, spline_inverse
 from sigspline.synthetic import benchmark_var_spec, simulate_var2
-from sigspline.tensor_algebra import feature_count, index_to_word, tensor_product
+from sigspline.tensor_algebra import feature_count
 from tests.conftest import random_model, random_unit_sequences
+from tests.reference import index_to_word, signature_of_sequence, signature_oracle, tensor_product
 from tests.test_calibration import finite_difference_gradient, finite_difference_hessian
 
 

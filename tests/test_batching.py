@@ -9,13 +9,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspline.augmentations import conditioning_embedding
 from sigspline.calibration import build_design
 from sigspline.model import extend_path
-from sigspline.signature import segment_signature, signature_of_sequence, signatures
+from sigspline.signature import signatures
 from sigspline.spline import softmax, spline_inverse
-from sigspline.tensor_algebra import tensor_product, unit_tensor
 from tests.conftest import random_model
+from tests.reference import (
+    conditioning_embedding,
+    segment_signature,
+    signature_of_sequence,
+    tensor_product,
+    unit_tensor,
+)
 
 shapes = dict(
     seed=st.integers(0, 2**32 - 1),

@@ -26,6 +26,7 @@ from sigspline.calibration import (
 )
 from sigspline.model import SigSplineModel, conditional_increments, zero_model
 from sigspline.spline import softmax
+from sigspline.synthetic import benchmark_var_spec, simulate_var2
 from sigspline.tensor_algebra import feature_count
 from tests.conftest import random_model, random_unit_sequences
 
@@ -606,6 +607,34 @@ def test_newton_builds_no_hessian_after_its_last_iterate(rng, monkeypatch):
     _, report = fit(data, cfg)
     assert report.stopped_iteration == [8, 8]
     assert len(calls) == 2 * 7
+
+
+def test_newton_takes_the_least_squares_step_when_the_solve_fails(monkeypatch):
+    # the regularized Hessian is definite, so the least-squares step is the solve's step; on VAR
+    # data the best held-out iterate is not the zero start, so the parameters are compared too
+    data = windows_from_series(simulate_var2(benchmark_var_spec(300, 0)), 2)
+    cfg = TrainConfig(level=2, bins=8, optimizer="newton", reg_kind="l2", reg_lambda=1e-6,
+                      max_iters=8)
+    model, report = fit(data, cfg)
+    real_lstsq, fallbacks = np.linalg.lstsq, []
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def counting_lstsq(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    fallen_back, fallback_report = fit(data, cfg)
+    assert np.abs(model.params).max() > 1.0
+    assert len(fallbacks) == sum(stop - 1 for stop in report.stopped_iteration) > 0
+    assert fallback_report.stopped_iteration == report.stopped_iteration
+    for traces in ("train_nll", "test_nll"):
+        for want, got in zip(getattr(report, traces), getattr(fallback_report, traces)):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-10
+    assert np.abs(fallen_back.params - model.params).max() <= 1e-9
 
 
 def newton_state(feats, bins, n_train):

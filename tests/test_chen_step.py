@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigspline.augmentations import mask
 from sigspline.model import chen_split, masked_increments
 from sigspline.signature import extend, signatures
-from sigspline.tensor_algebra import TruncatedTensor, feature_count, tensor_product, unit_tensor
+from sigspline.tensor_algebra import feature_count
+from tests.reference import TruncatedTensor, mask, tensor_product, unit_tensor
 
 sizes = dict(seed=st.integers(0, 2**32 - 1), e=st.integers(1, 5), level=st.integers(0, 4))
 

@@ -6,6 +6,7 @@ import pytest
 
 from sigspline.cli import main
 from sigspline.dataio import read_series_csv, write_series_csv
+from sigspline.model import save_model, zero_model
 
 
 def run(*argv):
@@ -149,8 +150,20 @@ class TestEvaluate:
         assert code == 0
         doc = json.loads(out_json.read_text())
         assert all(s["discrepancy_mean"] == 0.0 for s in doc["statistics"].values())
-        assert doc["config"]["seeds"] == 10  # default seed count
+        assert not {"batch", "horizon", "seeds"} & set(doc["config"])  # sampling settings unused
         assert "0.0000" in out_table.read_text()
+
+    def test_self_evaluation_neither_checks_nor_echoes_the_sampling_settings(self, tmp_path,
+                                                                             series_csv, capsys):
+        out_json, out_table = tmp_path / "ev.json", tmp_path / "ev.txt"
+        code = run("evaluate", "--data", series_csv, "--horizon", 2, "--batch", 0, "--seeds", 0,
+                   "--output-json", out_json, "--output-table", out_table)
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads(out_json.read_text())
+        assert all(s["discrepancy_mean"] == 0.0 for s in doc["statistics"].values())
+        assert not {"batch", "horizon", "seeds"} & set(doc["config"])
+        assert (doc["n_seeds"], doc["horizon"], doc["batch"]) == (1, 0, 0)
+        assert '"horizon"' not in out_table.read_text().splitlines()[0]
 
     def test_model_evaluation_and_abs_acf_flag(self, tmp_path, series_csv):
         model, _ = fit_small_model(tmp_path, series_csv)
@@ -213,6 +226,15 @@ class TestExitCodes:
                    "--output-table", tmp_path / "e.txt") == 2
         assert (f"data error: {bad}: line 3 field 2 is not a number: 'x'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661"])  # float() takes both, np.loadtxt neither
+    def test_a_field_that_only_float_parses_is_a_named_data_error(self, tmp_path, capsys, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,ch1\n0,1\n1,{field}\n", encoding="utf-8")
+        assert run("evaluate", "--data", bad, "--output-json", tmp_path / "e.json",
+                   "--output-table", tmp_path / "e.txt") == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}: line 3 field 2 is not a number: {field!r}\n"
 
     def test_model_map_of_the_wrong_length_is_a_named_data_error(self, tmp_path, series_csv,
                                                                  capsys):
@@ -378,3 +400,52 @@ def test_mistyped_config_values_are_usage_errors(tmp_path, monkeypatch, capsys, 
     cfg.write_text(json.dumps(loaded))
     assert run(command, "--config", cfg) == 1
     assert f"usage error: config key {next(iter(loaded))!r} must be" in capsys.readouterr().err
+
+
+def _exit_case(tmp_path, case):
+    """The argv of one user-reachable error, with the files it reads written to ``tmp_path``."""
+    series = tmp_path / "series.csv"
+    write_series_csv(series, 1.0 + np.random.default_rng(0).random((40, 2)))
+    model8 = tmp_path / "model8.json"
+    save_model(zero_model(8, 1, 4), model8)
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "w1.json").write_text(json.dumps({"w1": [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]}))
+    nan_series = tmp_path / "nan.csv"
+    nan_series.write_text("t,ch1,ch2\n" + "".join(f"{t},{t / 10},1\n" for t in range(8))
+                          + "8,nan,1\n")
+    evaluate_out = ["--output-json", tmp_path / "e.json", "--output-table", tmp_path / "e.txt"]
+    fit_out = ["--output-model", tmp_path / "m.json", "--output-report", tmp_path / "r.json"]
+    return {
+        "missing config": ["fit", "--config", "nope.json"],
+        "config not JSON": ["fit", "--config", tmp_path / "broken.json"],
+        "max_iters 0": ["fit", "--data", series, "--max-iters", 0, *fit_out],
+        "sample channels": ["sample", "--model", model8, "--data", series,
+                            "--output", tmp_path / "s.csv"],
+        "evaluate channels": ["evaluate", "--model", model8, "--data", series, *evaluate_out],
+        "w1 shape": ["simulate", "--config", tmp_path / "w1.json", "--output", tmp_path / "v.csv"],
+        "whiten one row": ["simulate", "--n-lags", 1, "--whiten", "--output", tmp_path / "v.csv"],
+        "fit nan": ["fit", "--data", nan_series, "--window", 2, *fit_out],
+        "evaluate nan": ["evaluate", "--data", nan_series, *evaluate_out],
+    }[case]
+
+
+@pytest.mark.parametrize("case,code,message", [
+    ("missing config", 1, "usage error: config file not found: nope.json"),
+    ("config not JSON", 1, "usage error: config file is not valid JSON: "),
+    ("max_iters 0", 1, "usage error: max_iters and patience must be >= 1"),
+    ("sample channels", 2, "data error: data has 2 channels, model expects 8"),
+    ("evaluate channels", 2, "data error: data has 2 channels, model expects 8"),
+    ("w1 shape", 2, "data error: w1 must be 2x2, got (2, 3)"),
+    ("whiten one row", 2, "data error: whitening needs at least 2 rows"),
+    ("fit nan", 2, "data error: sequence contains non-finite entries"),
+    ("evaluate nan", 2, "data error: sequence contains non-finite entries"),
+])
+def test_user_errors_exit_with_their_code_and_message(tmp_path, monkeypatch, capsys, case, code,
+                                                      message):
+    monkeypatch.chdir(tmp_path)  # nothing is written, but a missed check would write here
+    argv = _exit_case(tmp_path, case)
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+    assert not {"e.json", "m.json", "s.csv", "v.csv"} & {p.name for p in tmp_path.iterdir()}

@@ -82,6 +82,15 @@ def test_a_field_that_is_not_a_number_is_named(tmp_path, text, where):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("field", ["1_0", "\u0661"])
+def test_a_field_that_loadtxt_refuses_is_named_even_if_float_takes_it(tmp_path, field):
+    # float() reads '1_0' as 10 and the Arabic-Indic digit one as 1; the reader's parser does not
+    path = tmp_path / "series.csv"
+    path.write_text(f"t,ch1\n0,1\n1,{field}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"series.csv: line 3 field 2 is not a number: '{field}'$"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "t,ch1,ch2\n", "t,ch1\n\n# c\n"])
 def test_no_data_rows(tmp_path, text):
     path = tmp_path / "series.csv"

@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspline.augmentations import conditioning_embedding
 from sigspline.calibration import build_design
 from sigspline.model import (
     chen_split,
@@ -20,6 +19,7 @@ from sigspline.model import (
 from sigspline.signature import extend, signatures
 from sigspline.spline import bin_indicator, softmax, spline_inverse
 from tests.conftest import random_model
+from tests.reference import conditioning_embedding
 
 cases = dict(
     seed=st.integers(0, 2**32 - 1),

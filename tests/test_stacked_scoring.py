@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspline.augmentations import conditioning_embedding
 from sigspline.calibration import build_design, loss
 from sigspline.model import conditioning_path, conditioning_signatures, log_likelihood, zero_model
 from sigspline.signature import signatures
 from sigspline.spline import softmax, spline_cdf, spline_density, spline_log_density
 from sigspline.tensor_algebra import feature_count
 from tests.conftest import random_model
+from tests.reference import conditioning_embedding
 from tests.test_prefix_sharing import cases, stack_with_repeats
 
 
