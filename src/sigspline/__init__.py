@@ -15,7 +15,6 @@ from .calibration import (
 )
 from .evaluation import (
     EvaluationReport,
-    abs_return_acf,
     acf,
     cross_correlation,
     dataset_statistics,
@@ -27,9 +26,7 @@ from .evaluation import (
 from .model import (
     SigSplineModel,
     conditional_increments,
-    feature_map,
     from_unit,
-    generate,
     load_model,
     log_likelihood,
     parameter_count,

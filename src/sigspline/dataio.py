@@ -62,6 +62,8 @@ def read_series_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: expected header starting with 't', got {header[0]!r}")
     if len(lines) < 2:
         raise ValueError(f"{path}: no data rows")
+    if len(header) < 2:
+        raise ValueError(f"{path}: header names no channel after 't'")
     try:
         table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError:  # name the first data line whose field count differs from the first's,

@@ -94,12 +94,6 @@ def cross_correlation(x) -> np.ndarray:
     return corr
 
 
-def abs_return_acf(x, lags) -> np.ndarray:
-    """:func:`acf` of the absolute first differences, per channel."""
-    arr = np.asarray(x, dtype=float)
-    return acf(np.abs(np.diff(arr, axis=0)), lags)
-
-
 def dataset_statistics(data, lags=DEFAULT_LAGS, include_abs_acf: bool = False) -> dict:
     """Named statistics of one (n, d) sequence, a (B, n, d) batch or a list of sequences.
 

@@ -113,26 +113,16 @@ def to_unit(model: SigSplineModel, x) -> np.ndarray:
 
     Values outside [scale_min, scale_max] land at CLAMP_EPS / 1 - CLAMP_EPS.
     """
-    z = (as_paths(x) - model.scale_min) / (model.scale_max - model.scale_min)
+    arr = as_paths(x)
+    if arr.shape[-1] != model.d:
+        raise ValueError(f"data has {arr.shape[-1]} channels, model expects {model.d}")
+    z = (arr - model.scale_min) / (model.scale_max - model.scale_min)
     return np.where(z < 0.0, CLAMP_EPS, np.where(z > 1.0, 1.0 - CLAMP_EPS, z))
 
 
 def from_unit(model: SigSplineModel, x) -> np.ndarray:
     """Inverse of :func:`to_unit` on in-range values."""
     return model.scale_min + as_paths(x) * (model.scale_max - model.scale_min)
-
-
-def feature_map(x, i: int, params_i: np.ndarray, level: int) -> np.ndarray:
-    """N functional values of the masked-path signature for coordinate i.
-
-    ``x`` is an (..., n, d) stack with n >= 2 and the candidate next
-    observation last; its coordinates >= i never influence the result.
-    """
-    params_i = np.asarray(params_i, dtype=float)
-    sig = conditioning_signatures(x, level, None, i)
-    if params_i.ndim != 2 or params_i.shape[1] != sig.shape[-1]:
-        raise ValueError(f"parameter matrix must be N x {sig.shape[-1]}, got {params_i.shape}")
-    return sig @ params_i.T
 
 
 def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
@@ -203,7 +193,7 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
         raise ValueError(f"coordinate {i} outside [1..{model.d}]")
     path = _conditioning_paths(model, history)
     path[..., -1, : i - 1] = np.asarray(next_partial, dtype=float)[..., : i - 1]
-    return softmax(feature_map(path, i, model.params[i - 1], model.level))
+    return softmax(conditioning_signatures(path, model.level, None, i) @ model.params[i - 1].T)
 
 
 def log_likelihood(model: SigSplineModel, x) -> float | np.ndarray:
@@ -240,17 +230,6 @@ def extend_path(model: SigSplineModel, history, horizon: int, rng) -> np.ndarray
         nxt = sample_step(model, path, u[..., t, :])
         path = np.concatenate([path, nxt[..., None, :]], axis=-2)
     return path
-
-
-def generate(model: SigSplineModel, seed_history, horizon: int, rng_seed) -> np.ndarray:
-    """Sample ``horizon`` steps after ``seed_history``; returns the full path.
-
-    Draws come from numpy's PCG64 generator seeded with ``rng_seed``, so runs
-    with equal seeds are bit-identical.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return extend_path(model, as_sequence(seed_history), horizon, np.random.default_rng(rng_seed))
 
 
 def sample_from_series(model: SigSplineModel, series, batch: int, horizon: int, rng) -> np.ndarray:

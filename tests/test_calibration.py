@@ -184,6 +184,14 @@ class TestHessian:
             hessian(model, random_unit_sequences(rng, 3, 3, 2), i)
 
 
+@pytest.mark.parametrize("call", [loss, gradient, lambda model, data: hessian(model, data, 1)],
+                         ids=["loss", "gradient", "hessian"])
+def test_data_with_the_wrong_channel_count_is_named(call, rng):
+    model = random_model(rng, d=2, level=1, bins=3)
+    with pytest.raises(ValueError, match="^data has 3 channels, model expects 2$"):
+        call(model, rng.random((5, 3, 3)))
+
+
 class TestRegularizedLoss:
     def test_lambda_zero_reduces_to_loss(self, rng):
         model = random_model(rng, d=2, level=1, bins=3)

@@ -227,6 +227,13 @@ class TestExitCodes:
         assert (f"data error: {bad}: line 3 field 2 is not a number: 'x'"
                 in capsys.readouterr().err)
 
+    def test_a_header_with_no_channel_is_a_named_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t\n0\n1\n2\n")
+        assert run("evaluate", "--data", bad, "--output-json", tmp_path / "e.json",
+                   "--output-table", tmp_path / "e.txt") == 2
+        assert capsys.readouterr().err == f"data error: {bad}: header names no channel after 't'\n"
+
     @pytest.mark.parametrize("field", ["1_0", "\u0661"])  # float() takes both, np.loadtxt neither
     def test_a_field_that_only_float_parses_is_a_named_data_error(self, tmp_path, capsys, field):
         bad = tmp_path / "bad.csv"

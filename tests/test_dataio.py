@@ -99,6 +99,13 @@ def test_no_data_rows(tmp_path, text):
         read_series_csv(path)
 
 
+def test_a_header_with_no_channel_is_named(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("t\n0\n1\n2\n")
+    with pytest.raises(ValueError, match="series.csv: header names no channel after 't'$"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("batch", [
     np.zeros((3, 2)),
     [np.zeros((2, 1)), np.zeros((3, 1))],

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sigspline.evaluation import (
-    abs_return_acf,
     acf,
     compare_statistics,
     cross_correlation,
@@ -133,12 +132,12 @@ class TestAbsReturnAcf:
     def test_constant_increments_rejected(self):
         x = np.arange(20.0).reshape(-1, 1)
         with pytest.raises(ValueError, match="constant"):
-            abs_return_acf(x, [1])
+            acf(np.abs(np.diff(x, axis=0)), [1])
 
     def test_iid_returns_uncorrelated(self):
         steps = np.random.default_rng(6).standard_normal(5000)
         x = np.cumsum(steps).reshape(-1, 1)
-        assert abs(abs_return_acf(x, [1])[0, 0]) <= 0.05
+        assert abs(acf(np.abs(np.diff(x, axis=0)), [1])[0, 0]) <= 0.05
 
     def test_clustered_magnitudes_detected(self):
         # increments of magnitude 2 for 4 steps then 1 for 4 steps, alternating
@@ -146,7 +145,7 @@ class TestAbsReturnAcf:
         magnitudes = np.tile([2.0] * 4 + [1.0] * 4, 100)
         signs = np.tile([1.0, -1.0], 400)
         x = np.concatenate([[0.0], np.cumsum(magnitudes * signs)]).reshape(-1, 1)
-        got = abs_return_acf(x, [1])[0, 0]
+        got = acf(np.abs(np.diff(x, axis=0)), [1])[0, 0]
         assert got == pytest.approx(brute_force_acf(magnitudes, 1), abs=1e-12)
         assert got > 0.2
 
@@ -166,6 +165,9 @@ class TestDatasetStatistics:
         assert np.allclose(stats["level_acf_lag1"], acf(x, [1])[0], atol=1e-12)
         assert stats["level_skewness"][0] == pytest.approx(skewness(x[:, 0]), abs=1e-12)
         assert np.allclose(stats["return_cross_correlation"], cross_correlation(np.diff(x, axis=0)))
+        abs_stats = dataset_statistics(x, include_abs_acf=True)
+        want = acf(np.abs(np.diff(x, axis=0)), [1])[0]
+        assert np.allclose(abs_stats["abs_return_acf_lag1"], want, rtol=0.0, atol=1e-12)
 
     def test_batch_pools_sequences(self, rng):
         seqs = [rng.random((4, 2)) for _ in range(500)]

@@ -9,10 +9,9 @@ from sigspline.dataio import write_series_csv
 from sigspline.model import (
     SigSplineModel,
     conditional_increments,
+    conditioning_signatures,
     extend_path,
-    feature_map,
     from_unit,
-    generate,
     load_model,
     log_likelihood,
     model_from_dict,
@@ -47,20 +46,21 @@ class TestFeatureMap:
     def test_zero_parameters_give_zero_features(self, history):
         m = zero_model(2, 2, 4)
         x = np.vstack([history, history[-1]])
-        assert np.array_equal(feature_map(x, 1, m.params[0], 2), np.zeros(4))
+        assert np.array_equal(conditioning_signatures(x, 2, None, 1) @ m.params[0].T, np.zeros(4))
 
     def test_empty_word_row_reads_constant_one(self, history, rng):
         u = np.zeros((4, 13))
         u[2, 0] = 1.7  # only the empty-word column of row 3
         x = np.vstack([history, history[-1]])
-        assert np.allclose(feature_map(x, 1, u, 2), [0, 0, 1.7, 0])
+        assert np.allclose(conditioning_signatures(x, 2, None, 1) @ u.T, [0, 0, 1.7, 0])
 
     def test_masked_coordinates_are_invisible(self, history, rng):
         m = random_model(rng, d=2, level=2, bins=4)
         x = np.vstack([history, [0.3, 0.9]])
         y = np.vstack([history, [0.3, 0.123]])
         assert np.array_equal(
-            feature_map(x, 2, m.params[1], 2), feature_map(y, 2, m.params[1], 2)
+            conditioning_signatures(x, 2, None, 2) @ m.params[1].T,
+            conditioning_signatures(y, 2, None, 2) @ m.params[1].T,
         )
 
     @pytest.mark.parametrize("i", [0, 3])
@@ -68,7 +68,7 @@ class TestFeatureMap:
         m = random_model(rng, d=2, level=2, bins=4)
         x = np.vstack([history, history[-1]])
         with pytest.raises(ValueError, match="outside"):
-            feature_map(x, i, m.params[0], 2)
+            conditioning_signatures(x, 2, None, i) @ m.params[0].T
 
 
 class TestConditionalIncrements:
@@ -186,15 +186,15 @@ class TestSampling:
 
     def test_generate_deterministic_and_shaped(self, history, rng):
         m = random_model(rng, d=2, level=1, bins=4)
-        a = generate(m, history, 4, rng_seed=11)
-        b = generate(m, history, 4, rng_seed=11)
+        a = extend_path(m, history, 4, np.random.default_rng(11))
+        b = extend_path(m, history, 4, np.random.default_rng(11))
         assert a.shape == (history.shape[0] + 4, 2)
         assert np.array_equal(a, b)
         assert np.array_equal(a[: history.shape[0]], history)
 
     def test_generate_horizon_one_is_sample_step(self, history, rng):
         m = random_model(rng, d=2, level=1, bins=4)
-        out = generate(m, history, 1, rng_seed=3)
+        out = extend_path(m, history, 1, np.random.default_rng(3))
         u = np.random.default_rng(3).random(2)
         assert np.array_equal(out[-1], sample_step(m, history, u))
 
@@ -222,6 +222,10 @@ class TestScaling:
         m = zero_model(2, 1, 4)
         raw = rng.random((5, 2))
         assert np.array_equal(to_unit(m, raw), raw)
+
+    def test_data_with_the_wrong_channel_count_is_named(self, rng):
+        with pytest.raises(ValueError, match="^data has 3 channels, model expects 2$"):
+            to_unit(zero_model(2, 1, 4), rng.random((5, 3, 3)))
 
     def test_range_whose_width_overflows_is_rejected(self):
         with pytest.raises(ValueError, match=r"channel 2 spans \[-1e\+308, 1e\+308\]; its width "

@@ -8,6 +8,7 @@ from pathlib import Path
 MOVED = ("Word", "word_to_index", "index_to_word", "TruncatedTensor", "unit_tensor",
          "tensor_product", "inner_product", "segment_signature", "signature_of_sequence",
          "signature_oracle", "basepoint", "time_augment", "mask", "conditioning_embedding")
+GONE = ("feature_map", "generate", "abs_return_acf")  # one-line wrappers of other public calls
 
 CHECK = f"""
 import importlib.util, sys
@@ -15,6 +16,8 @@ import sigspline, sigspline.cli
 assert not [name for name in sys.modules if name.split(".")[0] == "tests"], "a tests module loaded"
 assert importlib.util.find_spec("sigspline.augmentations") is None
 assert not set({MOVED!r}) & set(dir(sigspline)), "a reference is still exported"
+for module in [sigspline, *(m for k, m in sys.modules.items() if k.startswith("sigspline."))]:
+    assert not set({GONE!r}) & set(vars(module)), f"{{module.__name__}} defines a removed wrapper"
 """
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sigspline.calibration import build_design
 from sigspline.model import (
     chen_split,
+    conditional_increments,
     conditioning_path,
     log_likelihood,
     masked_increments,
@@ -84,6 +85,20 @@ def test_sample_step_equals_the_sequential_per_coordinate_draw(seed, d, level, n
         delta = reference_increments(model, conditioning_path(hist, candidate, window), i)
         drawn[:, i - 1] = spline_inverse(u[:, i - 1], delta)
     assert np.array_equal(sample_step(model, hist, u), drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**cases)
+def test_conditional_increments_equal_the_masked_path_fold(seed, d, level, n, window):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, d, level, bins=5, window=window)
+    hist = stack_with_repeats(rng, n, d)
+    partial = rng.random((len(hist), d))
+    for i in range(1, d + 1):
+        candidate = hist[:, -1].copy()
+        candidate[:, : i - 1] = partial[:, : i - 1]
+        want = reference_increments(model, conditioning_path(hist, candidate, window), i)
+        assert np.array_equal(conditional_increments(hist, partial, i, model), want)
 
 
 @settings(max_examples=40, deadline=None)
