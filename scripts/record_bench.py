@@ -16,10 +16,14 @@ subprocesses with one BLAS thread:
   total, counted as ``wc -l`` counts them;
 * ``kernel``: per-call medians of the signature kernel at the protocol sizes,
   ``signature.extend`` on M = 1 and M = 1024 rows, one-window
-  ``model.log_likelihood``, one ``model.sample_step`` over a batch of
+  ``model.log_likelihood``, perfbench's score loop (``to_unit`` and
+  ``log_likelihood`` one window at a time over every window of a seed-1
+  benchmark series at sample_score_d2's shape) and the same windows scored in one
+  stacked call, both per window, one ``model.sample_step`` over a batch of
   histories at sample_score_d2's shape (the sampler alone, without the CSV
-  and model file IO that perfbench's ``sample_steps_per_s`` includes), one
-  ``model.save_model`` and
+  and model file IO that perfbench's ``sample_steps_per_s`` includes),
+  ``model.extend_path`` per step for a ``window=None`` model at horizons 25,
+  100 and 400, one ``model.save_model`` and
   ``model.load_model`` of a model file at the workloads' fit shapes, the fit's
   featurize pass (``calibration._prepare``) plus one coordinate's design at the
   fit_newton_d2 and fit_gd_l1_d8 shapes, and one
@@ -29,30 +33,39 @@ subprocesses with one BLAS thread:
   subprocess that imports the measured checkout's ``src/``. Each entry also
   records its minor page faults per call. Two ``machine.*`` entries, a fixed
   float64 GEMM and a fixed pure-Python loop, probe the machine, so that the
-  records of two sessions can be normalized before they are compared.
+  records of two runs on different machines can be normalized before they are compared;
+* ``kernel_vs_parent``, with ``--parent REV``: :func:`compare_kernels` extracts
+  REV's ``src/`` with ``git archive`` into a temporary directory and times its
+  kernel block and the checkout's in alternating subprocesses, KERNEL_PAIRS
+  pairs, recording both sides' medians and quartiles per entry and in how
+  many pairs the change read lower ("better in k of n").
 
 The result is written to ``BENCH_<pr>.json`` at the root of the measured
-checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare two
-commits, run this script on each checkout, one after the other:
+checkout; pipeline artifacts stay in its ``.bench_runs/``. To compare a change
+with its parent:
 
-    python3 scripts/record_bench.py --pr 6
-    python3 scripts/record_bench.py --pr 5 --repo ../parent-checkout
+    python3 scripts/record_bench.py --pr N --parent HEAD   # an uncommitted change against HEAD
 
-The ``kernel`` block imports private names of ``sigspline.calibration``; a
-checkout that lacks one is measured with its own copy of this script.
+The end-to-end workload runs of the two commits are still made one checkout
+at a time (``--repo`` measures another checkout). The ``kernel`` block imports
+private names of ``sigspline.calibration``; a revision that lacks one cannot be
+compared by this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import resource
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +80,12 @@ EXTEND_SIZES = ((3, 3), (9, 2))  # (alphabet e = 1 + d, level L): d=2/L=3 and d=
 EXTEND_ROWS = (1, 1024)
 LOGLIK_SIZES = ((2, 3, 16, 2), (8, 2, 64, 3))  # (d, level, bins, window), as the workloads fit
 SAMPLE_STEP_SIZE = (2, 3, 16, 2, 256)  # (d, level, bins, window, batch) of sample_score_d2
+SCORE_SIZE = (1024, 3, 16, 2)  # (n_lags, level, bins, window) of sample_score_d2's scored series
+SCORE_FIT_ITERS = 8  # Newton iterations of the scored model's fit; scoring cost does not need more
+EXTEND_PATH_SIZE = (2, 3, 16, 64)  # (d, level, bins, batch) of a window=None model's stream
+EXTEND_PATH_HORIZONS = (25, 100, 400)
+EXTEND_PATH_REPEATS = 3  # one horizon-400 call refolding the history at every step takes ~17 s
+KERNEL_PAIRS = 5  # parent/change pairs of a kernel comparison
 NEWTON_LAGS = (1024, 4096)  # VAR(2) series of fit_newton_d2 and configs/: d=2, L=3, N=16, window 2
 FEATURIZE_SIZES = (  # (n_lags, map, level, bins, window) of fit_newton_d2 and fit_gd_l1_d8
     (1024, "identity", 3, 16, 2),
@@ -168,20 +187,25 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _per_call_us(fn) -> dict:
-    """Median and quartiles over KERNEL_REPEATS repeats of the time of one call, in us, and the
-    minor page faults per call over all repeats."""
-    fn()  # warm-up
+def _per_call_us(fn, repeats: int = KERNEL_REPEATS, steps: int = 1) -> dict:
+    """Median and quartiles over ``repeats`` repeats of the time of one call divided by its
+    ``steps``, in us, and the minor page faults per call over all repeats. A warm-up call that
+    takes longer than a repeat sets the calls per repeat itself; a quicker one is timed again."""
     start = time.perf_counter()
-    fn()
-    number = max(1, int(KERNEL_REPEAT_S / max(time.perf_counter() - start, 1e-9)))
+    fn()  # warm-up
+    once = time.perf_counter() - start
+    if once < KERNEL_REPEAT_S:
+        start = time.perf_counter()
+        fn()
+        once = time.perf_counter() - start
+    number = max(1, int(KERNEL_REPEAT_S / max(once, 1e-9)))
     times, faults = [], _minor_faults()
-    for _ in range(KERNEL_REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(number):
             fn()
-        times.append((time.perf_counter() - start) / number * 1e6)
-    faults = (_minor_faults() - faults) / (KERNEL_REPEATS * number)
+        times.append((time.perf_counter() - start) / (number * steps) * 1e6)
+    faults = (_minor_faults() - faults) / (repeats * number)
     return {**_spread(times), "calls_per_repeat": number, "minflt_per_call": faults}
 
 
@@ -192,6 +216,16 @@ def _python_loop() -> int:
     return total
 
 
+def _random_model(d: int, level: int, bins: int, window):
+    from sigspline.model import SigSplineModel
+    from sigspline.tensor_algebra import feature_count
+
+    rng = np.random.default_rng(0)
+    params = rng.normal(size=(d, bins, feature_count(1 + d, level)))
+    return SigSplineModel(d, level, bins, params, window)
+
+
+@lru_cache
 def _newton_design(n_lags: int) -> np.ndarray:
     """Coordinate 1's training design in its row-space basis, as Newton sees it, for the
     configs/ VAR(2) series of ``n_lags`` lags fitted at d=2, L=3, N=16, window 2."""
@@ -205,86 +239,190 @@ def _newton_design(n_lags: int) -> np.ndarray:
     return feats[train] @ calibration._row_space_basis(feats)
 
 
-def _featurize_entry(n_lags: int, map_kind: str, level: int, bins: int, window: int):
-    """(name, call) of the fit's featurize pass plus coordinate 1's design on a benchmark
-    series of ``n_lags`` lags through ``map_kind``."""
+@lru_cache
+def _scored_model_and_windows():
+    """The configs-shaped model fitted by Newton for at most SCORE_FIT_ITERS iterations on the
+    seed-0 benchmark series, and every raw window of the seed-1 series, which is what
+    perfbench's sample_score_d2 scores."""
     from sigspline import calibration, synthetic
+    from sigspline.model import sliding_windows
 
-    latent = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
-    windows = calibration.windows_from_series(synthetic.observe(latent, map_kind), window)
-    cfg = calibration.TrainConfig(level=level, bins=bins, window=window)
-    shape = f"d{windows.shape[2]}_L{level}_N{bins}_window{window}_M{len(windows)}"
-    return f"calibration._prepare+design/{shape}", lambda: calibration._prepare(windows, cfg)[1](1)
+    n_lags, level, bins, window = SCORE_SIZE
+    fit_series, heldout = (synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, seed))
+                           for seed in (0, 1))
+    cfg = calibration.TrainConfig(level=level, bins=bins, window=window, optimizer="newton",
+                                  reg_kind="l2", reg_lambda=1e-6,
+                                  max_iters=SCORE_FIT_ITERS)
+    model = calibration.fit(calibration.windows_from_series(fit_series, window), cfg)[0]
+    return model, sliding_windows(heldout, window + 1)
 
 
-def measure_kernels() -> dict:
-    """Per-call times of the machine probe, the signature kernel, the model file IO, the fit's
-    featurize pass and one Newton step's Hessian and solve of whichever ``sigspline`` is on
-    ``sys.path``."""
-    from sigspline.calibration import _hessian_from_design, _HessianWork
-    from sigspline.model import SigSplineModel, load_model, log_likelihood, sample_step, save_model
+def kernel_entries(tmp: Path) -> list:
+    """(family, make) of every kernel entry. make() does the entry's set-up and returns its
+    name, its timed call and the keywords of its timing, so that a measurement of some families
+    sets up only those. Model files are written under ``tmp``."""
+    from sigspline import calibration, synthetic
+    from sigspline.model import (
+        extend_path, load_model, log_likelihood, sample_step, save_model, to_unit,
+    )
     from sigspline.signature import extend
     from sigspline.tensor_algebra import feature_count
 
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((2, PROBE_GEMM_N, PROBE_GEMM_N))
-    out = {f"machine.gemm/n{PROBE_GEMM_N}_float64": _per_call_us(lambda: a @ b),
-           f"machine.python_loop/n{PROBE_LOOP}": _per_call_us(_python_loop)}
-    for e, level in EXTEND_SIZES:
-        for rows in EXTEND_ROWS:
-            sig = rng.normal(size=(rows, feature_count(e, level)))
-            inc = rng.normal(size=(rows, e))
-            out[f"signature.extend/e{e}_L{level}_M{rows}"] = _per_call_us(
-                lambda: extend(sig, inc, level))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
-        for d, level, bins, window in LOGLIK_SIZES:
-            k = feature_count(1 + d, level)
-            model = SigSplineModel(d, level, bins,
-                                   [rng.normal(size=(bins, k)) for _ in range(d)], window)
-            x = rng.random((window + 1, d))
-            out[f"model.log_likelihood/d{d}_L{level}_window{window}"] = _per_call_us(
-                lambda: log_likelihood(model, x))
-            shape = f"d{d}_L{level}_N{bins}"
-            out[f"model.save_model/{shape}"] = _per_call_us(lambda: save_model(model, path))
-            out[f"model.load_model/{shape}"] = _per_call_us(lambda: load_model(path))
-    d, level, bins, window, batch = SAMPLE_STEP_SIZE
-    model = SigSplineModel(d, level, bins,
-                           [rng.normal(size=(bins, feature_count(1 + d, level))) for _ in range(d)],
-                           window)
-    history, u = rng.random((batch, window, d)), rng.random((batch, d))
-    out[f"model.sample_step/d{d}_L{level}_N{bins}_window{window}_B{batch}"] = _per_call_us(
-        lambda: sample_step(model, history, u))
-    for size in FEATURIZE_SIZES:
-        name, call = _featurize_entry(*size)
-        out[name] = _per_call_us(call)
-    for n_lags in NEWTON_LAGS:
+    def gemm():
+        a, b = np.random.default_rng(0).standard_normal((2, PROBE_GEMM_N, PROBE_GEMM_N))
+        return f"machine.gemm/n{PROBE_GEMM_N}_float64", lambda: a @ b, {}
+
+    def python_loop():
+        return f"machine.python_loop/n{PROBE_LOOP}", _python_loop, {}
+
+    def extend_rows(e, level, rows):
+        rng = np.random.default_rng(0)
+        sig, inc = rng.normal(size=(rows, feature_count(e, level))), rng.normal(size=(rows, e))
+        return f"signature.extend/e{e}_L{level}_M{rows}", lambda: extend(sig, inc, level), {}
+
+    def one_window(d, level, bins, window):
+        model = _random_model(d, level, bins, window)
+        x = np.random.default_rng(0).random((window + 1, d))
+        name = f"model.log_likelihood/d{d}_L{level}_window{window}"
+        return name, lambda: log_likelihood(model, x), {}
+
+    def model_file(d, level, bins, window, load):
+        model, path = _random_model(d, level, bins, window), tmp / f"model_d{d}.json"
+        save_model(model, path)
+        call = (lambda: load_model(path)) if load else (lambda: save_model(model, path))
+        return f"model.{'load' if load else 'save'}_model/d{d}_L{level}_N{bins}", call, {}
+
+    def score(stacked):
+        # perfbench's score stage without its file IO: to_unit, then log_likelihood; the time
+        # is per window
+        model, windows = _scored_model_and_windows()
+        name = (f"model.log_likelihood/{'stacked' if stacked else 'score_loop'}_d{model.d}"
+                f"_L{model.level}_N{model.bins}_window{model.window}_M{len(windows)}")
+        if stacked:
+            return name, lambda: log_likelihood(model, to_unit(model, windows)), {
+                "steps": len(windows)}
+
+        def call():
+            return sum(log_likelihood(model, to_unit(model, w)) for w in windows)
+        return name, call, {"steps": len(windows)}
+
+    def sampler(d, level, bins, window, batch):
+        rng = np.random.default_rng(0)
+        model, history = _random_model(d, level, bins, window), rng.random((batch, window, d))
+        u = rng.random((batch, d))
+        name = f"model.sample_step/d{d}_L{level}_N{bins}_window{window}_B{batch}"
+        return name, lambda: sample_step(model, history, u), {}
+
+    def stream(d, level, bins, batch, horizon):
+        # the time is per step
+        model = _random_model(d, level, bins, None)
+        history = np.random.default_rng(0).random((batch, 2, d))
+        name = f"model.extend_path/d{d}_L{level}_N{bins}_windowNone_B{batch}_horizon{horizon}"
+        return name, lambda: extend_path(model, history, horizon, np.random.default_rng(1)), {
+            "repeats": EXTEND_PATH_REPEATS, "steps": horizon}
+
+    def featurize(n_lags, map_kind, level, bins, window):
+        latent = synthetic.simulate_var2(synthetic.benchmark_var_spec(n_lags, 0))
+        windows = calibration.windows_from_series(synthetic.observe(latent, map_kind), window)
+        cfg = calibration.TrainConfig(level=level, bins=bins, window=window)
+        name = (f"calibration._prepare+design/d{windows.shape[2]}_L{level}_N{bins}"
+                f"_window{window}_M{len(windows)}")
+        return name, lambda: calibration._prepare(windows, cfg)[1](1), {}
+
+    def newton(n_lags, kind):
         design = _newton_design(n_lags)
+        rng = np.random.default_rng(0)
         u = 0.3 * rng.standard_normal((16, design.shape[1]))
-        hess = _hessian_from_design(u, design) + 2e-6 * np.eye(16 * design.shape[1])
-        rhs = rng.standard_normal(len(hess))
         shape = f"M{design.shape[0]}_N16_r{design.shape[1]}"
-        out[f"calibration._hessian_from_design/{shape}"] = _per_call_us(
-            lambda: _hessian_from_design(u, design))
-        work = _HessianWork(16, *design.shape)  # warmed by the first call, as in a fit
-        out[f"calibration._hessian_from_design/{shape}_warm_workspace"] = _per_call_us(
-            lambda: _hessian_from_design(u, design, work))
-        out[f"numpy.linalg.solve/{shape}"] = _per_call_us(lambda: np.linalg.solve(hess, rhs))
+        if kind == "solve":
+            hess = calibration._hessian_from_design(u, design) + 2e-6 * np.eye(u.size)
+            rhs = rng.standard_normal(len(hess))
+            return f"numpy.linalg.solve/{shape}", lambda: np.linalg.solve(hess, rhs), {}
+        if kind == "warm":
+            work = calibration._HessianWork(16, *design.shape)  # warmed by the first call
+            return (f"calibration._hessian_from_design/{shape}_warm_workspace",
+                    lambda: calibration._hessian_from_design(u, design, work), {})
+        return (f"calibration._hessian_from_design/{shape}",
+                lambda: calibration._hessian_from_design(u, design), {})
+
+    entries = [("machine.gemm", gemm), ("machine.python_loop", python_loop)]
+    entries += [("signature.extend", partial(extend_rows, e, level, rows))
+                for e, level in EXTEND_SIZES for rows in EXTEND_ROWS]
+    for size in LOGLIK_SIZES:
+        entries += [("model.log_likelihood", partial(one_window, *size)),
+                    ("model.save_model", partial(model_file, *size, False)),
+                    ("model.load_model", partial(model_file, *size, True))]
+    entries += [("model.log_likelihood", partial(score, False)),
+                ("model.log_likelihood", partial(score, True)),
+                ("model.sample_step", partial(sampler, *SAMPLE_STEP_SIZE))]
+    entries += [("model.extend_path", partial(stream, *EXTEND_PATH_SIZE, horizon))
+                for horizon in EXTEND_PATH_HORIZONS]
+    entries += [("calibration._prepare+design", partial(featurize, *size))
+                for size in FEATURIZE_SIZES]
+    for n_lags in NEWTON_LAGS:
+        entries += [("calibration._hessian_from_design", partial(newton, n_lags, "cold")),
+                    ("calibration._hessian_from_design", partial(newton, n_lags, "warm")),
+                    ("numpy.linalg.solve", partial(newton, n_lags, "solve"))]
+    return entries
+
+
+def measure_kernels(only=None) -> dict:
+    """Per-call times of the machine probe, the signature kernel, scoring, the sampler, the model
+    file IO, the fit's featurize pass and one Newton step's Hessian and solve of whichever
+    ``sigspline`` is on ``sys.path``; ``only``, if given, lists the families (name prefixes)
+    to measure."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, make in kernel_entries(Path(tmp)):
+            if only is None or family.startswith(tuple(only)):
+                name, call, timing = make()
+                out[name] = _per_call_us(call, **timing)
     return out
 
 
-def record_kernels(repo: Path) -> dict:
+def record_kernels(repo: Path, only=None) -> dict:
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import record_bench; "
-            "print(json.dumps(record_bench.measure_kernels()))")
-    out = _run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)], repo,
-               _env(repo))[0]
+            "print(json.dumps(record_bench.measure_kernels(json.loads(sys.argv[2]))))")
+    out = _run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+                json.dumps(only)], repo, _env(repo))[0]
     return {"unit": "us", **json.loads(out.splitlines()[-1])}
+
+
+def compare_kernels(rev: str, repo: Path = ROOT, pairs: int = KERNEL_PAIRS, only=None) -> dict:
+    """The ``kernel`` block of ``rev`` against that of the ``repo`` checkout, each measured by
+    this script in its own subprocess, ``pairs`` times, the two sides alternating which runs
+    first. ``rev``'s ``src/`` is extracted with ``git archive`` into a temporary directory.
+    Per entry: each side's median, quartiles and per-run medians, and in how many of the pairs
+    the change's run read lower ("better in k of n")."""
+    git = ["git", "-C", str(repo)]
+    commit = _run([*git, "rev-parse", "--verify", f"{rev}^{{commit}}"], repo, os.environ)[0]
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run([*git, "archive", "--format=tar", commit.strip(), "src"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {"parent": Path(tmp), "change": repo}
+        for pair in range(pairs):
+            for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                runs[side].append(record_kernels(trees[side], only))
+    entries = {}
+    for name in runs["parent"][0]:
+        if name == "unit":
+            continue
+        parent, change = ([run[name]["median"] for run in runs[side]] for side in runs)
+        entries[name] = {"parent": _spread(parent), "change": _spread(change),
+                         "better": sum(c < p for p, c in zip(parent, change)), "of": pairs}
+    return {"unit": "us", "parent": {"rev": rev, "commit": commit.strip()},
+            "source": _source(repo), "pairs": pairs, "entries": entries}
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--parent", metavar="REV",
+                        help="also compare the kernel block with this revision's (compare_kernels)")
     return parser.parse_args(argv)
 
 
@@ -300,8 +438,16 @@ def main(argv=None) -> int:
         print(f"measuring {workload}", file=sys.stderr)
         record["workloads"][workload], record["environment"] = record_workload(
             repo, spec["command"], workload, seconds)
-    print("timing the signature kernel, model IO, featurize pass and Newton step", file=sys.stderr)
+    print("timing the kernel block", file=sys.stderr)
     record["kernel"] = record_kernels(repo)
+    if args.parent:
+        print(f"comparing the kernel block with {args.parent}, {KERNEL_PAIRS} alternating pairs",
+              file=sys.stderr)
+        record["kernel_vs_parent"] = compare = compare_kernels(args.parent, repo)
+        for name, entry in compare["entries"].items():
+            print(f"{name}: parent {entry['parent']['median']:.1f} us, change "
+                  f"{entry['change']['median']:.1f} us, better in {entry['better']} of "
+                  f"{entry['of']}", file=sys.stderr)
     print("timing the tier-1 suite", file=sys.stderr)
     record["tier1"] = record_tier1(repo)
     print("timing the configs/ pipeline", file=sys.stderr)

@@ -48,7 +48,7 @@ from .model import (
     sliding_windows, to_unit,
 )
 from .signature import CHUNK_ROWS, as_paths, as_sequence, extend
-from .spline import bin_indicator
+from .spline import _bin_nll, bin_indicator
 from .tensor_algebra import feature_count
 
 HESSIAN_SIZE_LIMIT = 10_000
@@ -198,16 +198,12 @@ def _nll_and_grad(u: np.ndarray, feats: np.ndarray, cbin: np.ndarray, want_grad:
     # overflow to inf/nan is expected during divergent steps; the fitting
     # loop's line search rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = feats @ u.T
-        peak = logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits - peak)
-        norm = expd.sum(axis=1)
-        idx = np.arange(len(cbin))
-        nll = float(np.mean(peak[:, 0] + np.log(norm) - logits[idx, cbin]))
+        terms, expd, norm = _bin_nll(feats @ u.T, cbin)
+        nll = float(np.mean(terms))
         if not want_grad:
             return nll, None
         probs = expd / norm[:, None]
-        probs[idx, cbin] -= 1.0
+        probs[np.arange(len(cbin)), cbin] -= 1.0
         return nll, probs.T @ feats / len(cbin)
 
 

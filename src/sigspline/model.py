@@ -10,6 +10,10 @@ yields the joint density and an exact inverse-transform sampler.
 
 Functions take (..., n, d) stacks; ``sample_from_series`` serves ``sample`` and ``evaluate``.
 Conditioning signatures, but ``sample_step``'s and the fit's, come from ``conditioning_signatures``.
+Each public function checks its input once and calls an unchecked core (``_chen_split``,
+``_conditioning_signatures``), which callers that already checked their input share.
+The per-shape tables (the time stamps per path length, the reveal mask per d) are cached
+read-only arrays.
 A batch of windows is one array: ``sliding_windows`` cuts a series into an
 (M, length, d) stack, and ``SigSplineModel.params`` is one (d, bins, K) array.
 
@@ -23,12 +27,14 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .signature import _fold, as_paths, as_sequence, extend
-from .spline import softmax, spline_inverse, spline_log_density
+from .signature import _chain, _chen, _exponential, _fold, as_paths, as_sequence
+from .spline import _bin_nll, _finite_logits, bin_indicator, softmax, spline_inverse
 from .tensor_algebra import feature_count
 
 CLAMP_EPS = 1e-6
@@ -132,34 +138,63 @@ def conditioning_path(history, candidate, window: int | None) -> np.ndarray:
     return np.concatenate([history, candidate[..., None, :]], axis=-2)
 
 
+def _read_only_cache(build):
+    """Cache ``build``'s per-shape tables, each returned read-only, since every caller shares it."""
+    @lru_cache
+    def table(*shape):
+        out = build(*shape)
+        out.flags.writeable = False
+        return out
+    return table
+
+
+_time_stamps = _read_only_cache(lambda n: np.linspace(0.0, 1.0, n))  # an n-row path's time channel
+_reveal = _read_only_cache(lambda d: np.tri(d, d + 1, dtype=bool))  # the (d, 1+d) reveal mask
+
+
+def _two_rows(arr: np.ndarray) -> np.ndarray:
+    if arr.shape[-2] < 2:
+        raise ValueError(f"a conditioning path needs at least 2 rows, got {arr.shape[-2]}")
+    return arr
+
+
+def _embedding(arr: np.ndarray) -> np.ndarray:
+    """The (..., n+1, 1+d) embedding of (..., n, d) paths: a zero basepoint row, then time
+    stamps (j-1)/(n-1) as channel 1 beside the data."""
+    n, d = arr.shape[-2:]
+    emb = np.zeros((*arr.shape[:-2], n + 1, 1 + d))
+    emb[..., 1:, 0] = _time_stamps(n)
+    emb[..., 1:, 1:] = arr
+    return emb
+
+
 def chen_split(path, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Prefix signature (..., K) and last two embedded rows (..., 2, 1+d) of (..., n, d) paths.
 
     The d masked embeddings of a path share all but their last segment, so by Chen's identity
     coordinate i's signature is ``extend(prefix, masked_increments(ends, i), level)``: one fold
     per path. The embedding (zero basepoint row, then time stamps (j-1)/(n-1) as channel 1
-    beside the data) is written into one array and folded unchecked.
+    beside the data) is written into one array and folded. This wrapper checks the paths once
+    and calls the unchecked core ``_chen_split``.
     """
-    arr = as_paths(path)
-    n, d = arr.shape[-2:]
-    if n < 2:
-        raise ValueError(f"a conditioning path needs at least 2 rows, got {n}")
-    emb = np.zeros((*arr.shape[:-2], n + 1, 1 + d))
-    emb[..., 1:, 0] = np.linspace(0.0, 1.0, n)
-    emb[..., 1:, 1:] = arr
+    return _chen_split(_two_rows(as_paths(path)), level)
+
+
+def _chen_split(arr: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    emb = _embedding(arr)
     return _fold(emb[..., :-1, :], level), emb[..., -2:, :]
 
 
 def masked_increments(ends, i: int | None = None) -> np.ndarray:
     """Every coordinate's last segment, (..., 2, 1+d) -> (d, ..., 1+d), or coordinate i's alone,
     (..., 1+d): row i - 1 ends coordinate i's masked embedding. One lower-triangular reveal
-    mask keeps the time channel and x_<i; a hidden channel's increment is 0.0, the previous row
-    minus itself."""
+    mask, cached per d, keeps the time channel and x_<i; a hidden channel's increment is 0.0,
+    the previous row minus itself."""
     last = ends[..., 1, :] - ends[..., 0, :]
     d = last.shape[-1] - 1
     if i is not None and not 1 <= i <= d:
         raise ValueError(f"coordinate {i} outside [1..{d}]")
-    reveal = np.tri(d, d + 1, dtype=bool)[slice(None) if i is None else i - 1]
+    reveal = _reveal(d)[slice(None) if i is None else i - 1]
     return np.where(reveal.reshape(*reveal.shape[:-1], *(1,) * (last.ndim - 1), d + 1), last, 0.0)
 
 
@@ -167,10 +202,32 @@ def conditioning_signatures(x, level: int, window: int | None, i: int | None = N
     """The d conditioning signatures (d, ..., K) of the last rows of (..., n, d) windows, or
     coordinate i's alone (..., K): row i - 1 is the signature of coordinate i's masked embedding
     of the window's ``conditioning_path``, from one prefix fold extended by the masked last
-    segments of ``masked_increments(ends, i)``."""
-    arr = as_paths(x)
-    prefix, ends = chen_split(conditioning_path(arr[..., :-1, :], arr[..., -1, :], window), level)
-    return extend(prefix, masked_increments(ends, i), level)
+    segments of ``masked_increments(ends, i)``. This wrapper checks the windows once and calls
+    the unchecked core ``_conditioning_signatures``."""
+    return _conditioning_signatures(_two_rows(as_paths(x)), level, window, i)
+
+
+def _conditioning_signatures(arr: np.ndarray, level: int, window: int | None, i: int | None):
+    """:func:`conditioning_signatures` of checked windows, worked on as one (rows, n, d) stack.
+    The conditioning path of a window's last row is the slice of its last ``window`` + 1 rows.
+    With a window, the path's prefix segments and its masked last segments (d, or coordinate
+    i's) are stacked segment-major from one embedding, and one ``_exponential`` call serves all
+    of them. A full history folds its prefix by ``_fold``, chunk by chunk, and so never stacks
+    its exponentials."""
+    *lead, n, d = arr.shape
+    if window is not None:
+        arr = arr[..., max(n - window - 1, 0) :, :]
+    emb = _embedding(arr.reshape(math.prod(lead), arr.shape[-2], d))
+    last = masked_increments(emb[:, -2:, :], i)
+    if window is None:
+        sigs = _chen(_fold(emb[:, :-1, :], level), last, level)
+    else:
+        prefix_segments = (emb[:, 1:-1, :] - emb[:, :-2, :]).transpose(1, 0, 2)
+        segments = np.concatenate([prefix_segments, last if i is None else last[None]])
+        expo, m = _exponential(segments, level), len(prefix_segments)
+        sigs = _chen(_chain(segments[:m], level, expo[:m]), segments[m:], level, expo[m:])
+        sigs = sigs if i is None else sigs[0]
+    return sigs.reshape(*sigs.shape[:-2], *lead, sigs.shape[-1])
 
 
 def _conditioning_paths(model: SigSplineModel, history) -> np.ndarray:
@@ -198,12 +255,23 @@ def conditional_increments(history, next_partial, i: int, model: SigSplineModel)
 
 def log_likelihood(model: SigSplineModel, x) -> float | np.ndarray:
     """Log-density d ln N + sum_i ln delta_i[bin(x_i)] of each window's last row given the rest:
-    (..., n, d) windows -> (...) values, and a float for one (n, d) window."""
-    sigs = conditioning_signatures(x, model.level, model.window)
-    if len(sigs) != model.d:
-        raise ValueError(f"windows have {len(sigs)} channels, model expects {model.d}")
-    delta = softmax(np.stack([sig @ u.T for sig, u in zip(sigs, model.params)], axis=-2))
-    out = spline_log_density(np.asarray(x, dtype=float)[..., -1, :], delta).sum(axis=-1)
+    (..., n, d) windows -> (...) values, and a float for one (n, d) window.
+
+    The windows are checked once (shape, finiteness, then the channel count, before any signature
+    work, and n >= 2), and the unchecked core gives their conditioning signatures. One matmul
+    forms the logits z of all d coordinates, and each term is read from them by log-sum-exp,
+    ln delta_i[bin] = z[bin] - max z - ln sum exp(z - max z), by ``spline._bin_nll``, which the
+    fit's objective also calls.
+    """
+    arr = as_paths(x)
+    if arr.shape[-1] != model.d:
+        raise ValueError(f"windows have {arr.shape[-1]} channels, model expects {model.d}")
+    sigs = _conditioning_signatures(_two_rows(arr), model.level, model.window, None)
+    lead, rows = arr.shape[:-2], math.prod(arr.shape[:-2])
+    z = np.matmul(sigs.reshape(model.d, rows, sigs.shape[-1]), model.params.transpose(0, 2, 1))
+    z = _finite_logits(z).reshape(model.d * rows, model.bins)  # coordinate-major, as bins.T
+    bins = bin_indicator(arr[..., -1, :], model.bins).reshape(rows, model.d).T.ravel() - 1
+    out = (np.log(model.bins) - _bin_nll(z, bins)[0]).reshape(model.d, *lead).sum(axis=0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -212,10 +280,10 @@ def sample_step(model: SigSplineModel, history, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (model.d,):
         raise ValueError(f"u must have {model.d} entries per history, got shape {u.shape}")
-    prefix, ends = chen_split(_conditioning_paths(model, history), model.level)  # one fold per step
+    prefix, ends = _chen_split(_conditioning_paths(model, history), model.level)  # one fold a step
     drawn = np.empty((*prefix.shape[:-1], model.d))
     for i in range(1, model.d + 1):
-        sig = extend(prefix, masked_increments(ends, i), model.level)
+        sig = _chen(prefix, masked_increments(ends, i), model.level)
         drawn[..., i - 1] = spline_inverse(u[..., i - 1], softmax(sig @ model.params[i - 1].T))
         ends[..., -1, i] = drawn[..., i - 1]  # reveal x_i in the candidate row, after time
     return drawn

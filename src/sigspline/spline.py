@@ -22,13 +22,28 @@ def softmax(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim < 1 or z.shape[-1] < 1:
         raise ValueError(f"expected (..., N) logits, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input contains non-finite entries")
-    shifted = np.exp(z - z.max(axis=-1, keepdims=True))
+    shifted = np.exp(_finite_logits(z) - z.max(axis=-1, keepdims=True))
     # floor at the smallest normal double so increments stay strictly
     # positive and their logs finite
     shifted = np.maximum(shifted, np.finfo(float).tiny)
     return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def _finite_logits(z: np.ndarray) -> np.ndarray:
+    if not np.isfinite(z).all():
+        raise ValueError("softmax input contains non-finite entries")
+    return z
+
+
+def _bin_nll(z: np.ndarray, k: np.ndarray):
+    """-ln delta[k] of each row of (rows, N) logits at its 0-based bin k, read from the logits
+    by log-sum-exp, max z + ln sum exp(z - max z) - z[k], so it stays exact where ``softmax``
+    floors an increment. Also returns exp(z - max z) and its row sums, from which the fit's
+    gradient forms the increments."""
+    peak = z.max(axis=1, keepdims=True)
+    expd = np.exp(z - peak)
+    norm = expd.sum(axis=1)
+    return peak[:, 0] + np.log(norm) - z[np.arange(len(k)), k], expd, norm
 
 
 def _check_delta(delta) -> np.ndarray:

@@ -13,13 +13,18 @@ This flat layout keeps linear functionals on signatures plain dot products.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _level_offsets(alphabet_size: int, level: int) -> list[int]:
-    """offsets[k] = index of the first length-k word; offsets[L+1] = feature_count(e, L)."""
+@lru_cache
+def _level_offsets(alphabet_size: int, level: int) -> tuple[int, ...]:
+    """offsets[k] = index of the first length-k word; offsets[L+1] = feature_count(e, L).
+
+    Cached per (e, L), so a tuple: no caller can change the shared value."""
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
     if level < 0:
@@ -31,7 +36,7 @@ def _level_offsets(alphabet_size: int, level: int) -> list[int]:
             raise OverflowError(
                 f"level {level}: feature_count({alphabet_size}, {level}) exceeds 64-bit range"
             )
-    return offsets
+    return tuple(offsets)
 
 
 def feature_count(alphabet_size: int, level: int) -> int:
